@@ -320,14 +320,26 @@ def cmd_orbit(args) -> int:
 
 
 def _frequencies(args, doc, cfg) -> list[tuple[int, ...]]:
+    """Frequencies on the product horizontal torus, from --m or the config tests."""
+    need = cfg.horiz_dim
     if args.m:
-        return [tuple(int(x) for x in args.m.split(","))]
+        try:
+            m = tuple(int(x) for x in args.m.split(","))
+        except ValueError as e:
+            raise ConfigError(f"--m must be comma-separated integers: {e}") from e
+        if len(m) != need:
+            raise ConfigError(f"--m needs {need} components, got {len(m)}")
+        return [m]
     out = []
     for t in doc.get("tests", []):
         if t["type"] == "horizontal_character":
             out.append(tuple(t["k"]))
     if not out:
         raise ConfigError("no frequency given: pass --m or add horizontal_character tests")
+    if any(len(k) != need for k in out):
+        raise ConfigError(
+            f"the tests' horizontal characters are block-local; this config's horizontal "
+            f"torus has {need} components: pass a frequency with --m")
     return out
 
 
@@ -365,10 +377,9 @@ def cmd_discrepancy(args) -> int:
     cfg = build_orbit_config(doc)
     grid_res = args.grid or (8 if cfg.coords_dim >= 3 else 16)
     header = ["N", "statistic", "value"]
-    rows = []
-    for N in _grid(args, doc):
-        d = orbits.orbit_discrepancy(cfg, N, grid_res, args.workers)
-        rows.append([N, f"box_discrepancy_g{grid_res}", d])
+    grid = _grid(args, doc)
+    values = orbits.discrepancy_series(cfg, grid, grid_res, args.workers)
+    rows = [[N, f"box_discrepancy_g{grid_res}", d] for N, d in zip(grid, values)]
     write_csv(args.out, header, rows)
     if args.emit_plot and args.out:
         _plot_by_statistic(args.out, rows)

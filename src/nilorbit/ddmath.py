@@ -3,9 +3,9 @@
 A value is a pair ``(hi, lo)`` of float64 scalars or same-shaped arrays with
 ``hi + lo`` the represented number and ``|lo| <= ulp(hi)/2``, giving about
 31 significant decimal digits.  That headroom is what keeps fractional parts
-of orbit coordinates meaningful: entries grow like a(n)^(d-1) (~1e18 for the
-Heisenberg instances at N = 1e7) and still retain ~1e-14 absolute accuracy
-mod 1.
+of orbit coordinates meaningful: entries grow like a(n)^(d-1), about 1e21 for
+the Heisenberg pair instance at N = 1e7, where the coordinates still carry
+an absolute error of a few 1e-11 mod 1.
 
 Two kernels share one interface so the orbit engine can be swapped between
 precisions:
@@ -15,6 +15,13 @@ precisions:
 
 All functions are branch-free numpy expressions, so they accept scalars and
 arrays alike and never disturb summation order.
+
+Error bounds are counted in units of ``U2`` = u^2 = 2^-106: ``ADD_ERR``,
+``MUL_ERR`` and ``MUL_FLOAT_ERR`` bound the relative error of ``add``,
+``mul`` and ``mul_float``, and ``exp_error``/``ln_error`` model ``exp`` and
+``ln``.  The orbit engine evaluates its exponents by Taylor windows built on
+these bounds (:class:`nilorbit.windows.AnchoredTaylor`); ``exp`` and ``ln``
+are left to direct evaluation at small n and to scalar callers.
 """
 
 from __future__ import annotations
@@ -163,7 +170,7 @@ class _DDKernel:
     def exp(x):
         """exp for |x| <~ 700; ~1e-31 relative accuracy."""
         k = np.round(x[0] / _LN2F)
-        r = _DDKernel.sub(x, _DDKernel.mul_float(_LN2, k))
+        r = _DDKernel.sub(x, _DDKernel.mul_float(LN2, k))
         # scale r down 2^9 so the expm1 Taylor series needs ~10 terms
         r = _DDKernel.ldexp(r, -9)
         acc = (np.full_like(r[0], _INV_FACT[-1][0]), np.full_like(r[0], _INV_FACT[-1][1]))
@@ -178,11 +185,18 @@ class _DDKernel:
 
     @staticmethod
     def ln(x):
-        """Natural log for positive x: float seed plus one Newton step."""
+        """Natural log for positive x: float seed y0 plus one Newton step.
+
+        With m = x exp(-y0) = 1 + c, ln x = y0 + c - c^2/2 + O(c^3); c is a
+        few ulps of y0, so the c^2/2 term (up to ~2^-95 for x ~ 1e8) is kept
+        and the cubic one (< 2^-140) is not.
+        """
         y0 = np.log(x[0])
-        m = _DDKernel.mul(x, _DDKernel.exp((-y0, np.zeros_like(y0))))
+        zero = np.zeros_like(y0)
+        m = _DDKernel.mul(x, _DDKernel.exp((-y0, zero)))
         corr = _DDKernel.sub(m, _DDKernel.from_float(np.ones_like(y0)))
-        return _DDKernel.add((y0, np.zeros_like(y0)), corr)
+        corr = _DDKernel.sub(corr, (0.5 * corr[0] * corr[0], zero))
+        return _DDKernel.add((y0, zero), corr)
 
     @staticmethod
     def pow_fraction(x, a: Fraction):
@@ -264,6 +278,43 @@ class _FPKernel:
 DD = _DDKernel
 FP = _FPKernel
 
+# Vectorized callers work through long arrays in blocks of this many entries:
+# the temporaries of a DD operation on them stay in cache, which makes the
+# operation several times faster per entry than on a 65536-entry chunk.
+BLOCK = 1 << 14
+
+U = 2.0 ** -53  # unit roundoff of float64
+U2 = U * U
+# Relative error bounds of DD.add, DD.mul and DD.mul_float in units of u^2,
+# after Joldes, Muller and Popescu, "Tight and rigorous error bounds for basic
+# building blocks of double-word arithmetic" (ACM TOMS 2017), rounded up to
+# cover their u^3 terms.
+ADD_ERR = 3.0
+MUL_ERR = 7.0
+MUL_FLOAT_ERR = 3.0
+
+
+def exp_error(x):
+    """Relative error bound of ``DD.exp(x)`` in units of u^2.
+
+    The reduction x - k ln2 costs about 3|x| (rounding of ln2 and of k ln2);
+    the expm1 series, its nine squarings and the final 1 + s stay below 40.
+    A model composed from the operation bounds, checked against mpmath in the
+    tests, not a proof.
+    """
+    return 3.0 * np.abs(x) + 40.0
+
+
+def ln_error(lnx):
+    """Absolute error bound of ``DD.ln(x)`` in units of u^2, given ln x.
+
+    The Newton step inherits ``exp_error(-y0)`` plus one mul and two subs,
+    and the final add contributes 3|ln x|; the same kind of model as
+    :func:`exp_error`.
+    """
+    return 6.0 * np.abs(lnx) + 64.0
+
+
 KERNELS = {"dd": DD, "double": FP}
 
 
@@ -282,8 +333,8 @@ def _ln2_pair():
     return hi, lo
 
 
-_LN2 = _ln2_pair()
-_LN2F = _LN2[0]
+LN2 = _ln2_pair()
+_LN2F = LN2[0]
 _INV_FACT = [_fraction_pair(Fraction(1, __import__("math").factorial(j))) for j in range(1, 13)]
 # _INV_FACT[j-1] = 1/j!; the expm1 Horner runs highest order first
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .constants import REGISTRY, lookup
-from .ddmath import DD, FP, Double2
+from .ddmath import ADD_ERR, DD, FP, MUL_ERR, U2, Double2, exp_error, ln_error
 
 
 class HardyParseError(ValueError):
@@ -783,11 +783,69 @@ def growth_basis(inputs: Sequence[HardyExpr]) -> GrowthBasis:
 # --------------------------------------------------------------------------
 # numeric evaluation
 
-def _coeff_pair(t: HardyTerm):
+def coeff_pair(t: HardyTerm):
+    """The term's coefficient as a DD pair."""
     p = DD.from_fraction(t.coeff)
     if t.const is not None:
         p = DD.mul(p, DD.from_fraction(lookup(t.const).as_fraction()))
     return p
+
+
+def coeff_error(t: HardyTerm) -> float:
+    """Relative error of :func:`coeff_pair` in units of u^2 (0 when exact)."""
+    if t.const is not None:
+        return 2.0 + MUL_ERR  # two roundings and the product
+    hi, lo = DD.from_fraction(t.coeff)
+    return 0.0 if Fraction(float(hi)) + Fraction(float(lo)) == t.coeff else 1.0
+
+
+def _npow_muls(b: int) -> int:
+    """Multiplications binary squaring spends on x^b."""
+    return abs(b).bit_length() + bin(abs(b)).count("1") - 2
+
+
+def dd_error_bound(f: HardyExpr, t: np.ndarray) -> np.ndarray:
+    """Bound on |evaluate_kernel(f, DD, n) - f(n)| at integers n >= 1 (``t`` = n as floats).
+
+    Each term c t^a log(t)^b is charged the error of its coefficient, of
+    t^a (zero for integer powers below 2^53, exp_error of a ln t plus the
+    propagated ln_error for fractional ones), of log(t)^b and of the
+    products joining them; the sum adds ADD_ERR per addition.  Exact
+    evaluations (polynomials with dyadic coefficients whose terms stay below
+    2^53) get bound 0.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    L = np.log(t)
+    dL = ln_error(L)
+    err = np.zeros_like(t)
+    mag_sum = np.zeros_like(t)
+    for term in f.terms:
+        a, b = term.power, term.logpow
+        pw = t ** float(a)
+        if a == 0:
+            rel = np.zeros_like(t)
+        elif a.denominator == 1:
+            rel = np.where(pw < 2.0 ** 53, 0.0, MUL_ERR * _npow_muls(a.numerator))
+            if a < 0:
+                rel = rel + 2 * MUL_ERR + ADD_ERR  # DD.div: two products and a sum
+        else:
+            x = float(a) * L
+            rel = abs(float(a)) * dL + (1.0 + MUL_ERR) * np.abs(x) + exp_error(x)
+        Lb = np.abs(L) ** b
+        lb_err = (b * np.abs(L) ** (b - 1) * dL + MUL_ERR * _npow_muls(b) * Lb) if b else 0.0
+        c = abs(term.coeff_float())
+        mag = c * pw * Lb
+        mul_err = MUL_ERR * (int(a != 0 and b != 0) + int(a != 0 or b != 0))
+        den = term.coeff.denominator
+        if b == 0 and a >= 0 and a.denominator == 1 and term.const is None \
+                and den & (den - 1) == 0:  # integer times a dyadic coefficient
+            mul_err = np.where(abs(term.coeff.numerator) * pw < 2.0 ** 53, 0.0, mul_err)
+        err = err + c * pw * (rel * Lb + lb_err) + (mul_err + coeff_error(term)) * mag
+        mag_sum = mag_sum + mag
+    if len(f.terms) > 1:
+        inexact = (err > 0) | (mag_sum >= 2.0 ** 53)
+        err = err + np.where(inexact, ADD_ERR * (len(f.terms) - 1) * mag_sum, 0.0)
+    return err * U2 * (1 + 2.0 ** -20)
 
 
 def evaluate_kernel(f: HardyExpr, K, t):
@@ -810,7 +868,7 @@ def evaluate_kernel(f: HardyExpr, K, t):
             lp = K.npow(lnt, term.logpow)
             v = lp if v is None else K.mul(v, lp)
         if K is DD:
-            c = _coeff_pair(term)
+            c = coeff_pair(term)
             tv = c if v is None else K.mul(v, (np.broadcast_to(c[0], np.shape(v[0])),
                                                np.broadcast_to(c[1], np.shape(v[0]))))
         else:

@@ -6,6 +6,13 @@ precision (group entries grow like a(n)^(d-1), far beyond float64 once
 a(n) ~ 1e9).  Since log b is nilpotent, every entry of b^s is a polynomial in
 s, so a generator is precompiled to entry-polynomial coefficients once.
 
+Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
+anchor grid (:class:`nilorbit.windows.AnchoredTaylor`): one set of
+coefficients per window, a Horner sum per sample, and a certified error bound
+per sample, which also decides when a floor needs exact evaluation.  An
+exponent depends on n alone, so every chunking of the index range yields the
+same bits.
+
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
 polynomials in the binomial basis, and the character-obstruction search that
@@ -29,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ddmath import DD, KERNELS, Double2
+from .ddmath import BLOCK, DD, KERNELS, Double2
 from .hardy import (
     HardyExpr,
     LimitKind,
@@ -38,8 +45,9 @@ from .hardy import (
     decompose,
     evaluate,
     evaluate_kernel,
+    floor_at,
 )
-from .windows import WindowPlan, taylor_window
+from .windows import AnchoredTaylor, WindowPlan, taylor_window
 from . import nilpotent
 
 CHUNK = 1 << 16
@@ -244,6 +252,9 @@ class OrbitEngine:
             block = gi if len(d_blocks) > 1 else 0
             self.compiled[block].append(
                 (gi, _CompiledGenerator(block, entries, d_blocks[block])))
+        # the dd kernel evaluates exponents by Taylor windows; double keeps np.power
+        self.taylor = ([AnchoredTaylor(f) for f in cfg.functions] if self.K is DD
+                       else None)
         # base point split into block-local entry dicts
         self.base: list[dict] = []
         pos = 0
@@ -257,14 +268,27 @@ class OrbitEngine:
     # -- per-chunk computation ----------------------------------------------
 
     def exponents(self, ns: np.ndarray):
+        """a_i(n) for each function, floored in floor mode.
+
+        Under dd, a value whose certified error margin reaches an integer is
+        floored exactly by :func:`hardy.floor_at` instead.
+        """
         K = self.K
-        t = K.from_int_array(ns)
+        floor = self.cfg.floor_mode is FloorMode.FLOOR
+        if self.taylor is None:
+            t = K.from_int_array(ns)
+            out = [_ensure_shape(K, evaluate_kernel(f, K, t), ns.shape)
+                   for f in self.cfg.functions]
+            return [K.floor(s) for s in out] if floor else out
         out = []
-        for f in self.cfg.functions:
-            s = evaluate_kernel(f, K, t)
-            s = _ensure_shape(K, s, ns.shape)
-            if self.cfg.floor_mode is FloorMode.FLOOR:
-                s = K.floor(s)
+        for f, ev in zip(self.cfg.functions, self.taylor):
+            s, bound = ev.evaluate(ns)
+            if floor:
+                fl = K.floor(s)
+                frac = K.to_float(K.sub(s, fl))
+                for i in np.flatnonzero(np.minimum(frac, 1.0 - frac) < 2.0 * bound):
+                    fl[0][i], fl[1][i] = K.from_fraction(Fraction(floor_at(f, int(ns[i]))))
+                s = fl
             out.append(s)
         return out
 
@@ -338,9 +362,19 @@ class OrbitEngine:
                 f"evaluating beyond the precision cap (n={n1} > {cap}); "
                 "coordinate error grows with a(n)^(d-1)", stacklevel=2)
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
-        shape = ns.shape
-        K = self.K
         expo = self.exponents(ns)
+        coords = np.empty((len(ns), self.cfg.coords_dim))
+        horiz = np.empty((len(ns), self.cfg.horiz_dim))
+        for b in range(0, len(ns), BLOCK):
+            part = slice(b, b + BLOCK)
+            coords[part], horiz[part] = self._coordinates(
+                [(s[0][part], s[1][part]) if self.K is DD else s[part] for s in expo],
+                (len(ns[part]),))
+        return ns, coords, horiz
+
+    def _coordinates(self, expo, shape):
+        """Reduced and horizontal coordinates from the exponents of one block."""
+        K = self.K
         coords_cols = []
         horiz_cols = []
         for bi, d in enumerate(self.cfg.blocks):
@@ -357,9 +391,7 @@ class OrbitEngine:
                 block_coords.append(f)
             coords_cols.extend(block_coords)
             horiz_cols.extend(block_coords[: d - 1])
-        coords = np.column_stack(coords_cols) if coords_cols else np.zeros((len(ns), 0))
-        horiz = np.column_stack(horiz_cols) if horiz_cols else np.zeros((len(ns), 0))
-        return ns, coords, horiz
+        return np.column_stack(coords_cols), np.column_stack(horiz_cols)
 
 
 def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
@@ -539,16 +571,39 @@ def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -
     return discrepancy_from_histogram(hist, total)
 
 
+def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional[int] = None,
+                       workers: int = 1) -> list[float]:
+    """Discrepancy of the first N reduced orbit points for each N in grid, in one pass.
+
+    The chunks up to max(grid) are streamed once; the cell counts are
+    snapshotted at each N (splitting the chunk that holds it), so each value
+    equals a separate pass to N exactly.
+    """
+    if grid_res is None:
+        grid_res = 8 if cfg.coords_dim >= 3 else 16
+    targets = sorted(set(grid))
+    if not targets or targets[0] < 1:
+        raise PreconditionError("discrepancy needs N >= 1")
+    hist = np.zeros((grid_res,) * cfg.coords_dim, dtype=np.int64)
+    found: dict[int, float] = {}
+    for ns, coords, horiz in iter_sample_chunks(cfg, 1, targets[-1], workers):
+        start = 0
+        for N in targets[len(found):]:
+            if N > ns[-1]:
+                break
+            cut = N - int(ns[0]) + 1
+            hist += histogram_counts(coords[start:cut], grid_res)
+            start = cut
+            found[N] = discrepancy_from_histogram(hist, N)
+        if start < len(ns):
+            hist += histogram_counts(coords[start:], grid_res)
+    return [found[N] for N in grid]
+
+
 def orbit_discrepancy(cfg: OrbitConfig, N: int, grid_res: Optional[int] = None,
                       workers: int = 1) -> float:
     """Discrepancy of the first N reduced orbit points, streamed by chunk."""
-    if grid_res is None:
-        grid_res = 8 if cfg.coords_dim >= 3 else 16
-    hist = None
-    for ns, coords, horiz in iter_sample_chunks(cfg, 1, N, workers):
-        h = histogram_counts(coords, grid_res)
-        hist = h if hist is None else hist + h
-    return discrepancy_from_histogram(hist, N)
+    return discrepancy_series(cfg, (N,), grid_res, workers)[0]
 
 
 # --------------------------------------------------------------------------

@@ -10,25 +10,37 @@ polynomial plus o_N(1).  Bounds are exact exponent pairs computed from the
 symbolic derivatives, consecutive classes tile the growth axis up to t, and
 a common window for several functions is found by ascending pure powers t^c
 toward c = 1.
+
+The same expansion evaluates the orbit engine's exponents:
+:class:`AnchoredTaylor` replaces f on short windows of a fixed dyadic grid by
+its Taylor polynomial, with a certified bound on the error at every n.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .ddmath import Double2
+import numpy as np
+
+from .ddmath import ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2
 from .hardy import (
     HardyExpr,
     LimitKind,
     PreconditionError,
     classify,
+    coeff_error,
+    coeff_pair,
+    dd_error_bound,
     derivative,
     differentiate,
     evaluate,
     evaluate_dd,
+    evaluate_kernel,
 )
 
 BoundPair = tuple[Fraction, Fraction]
@@ -207,26 +219,282 @@ def decreasing_abs_threshold(f: HardyExpr) -> float:
     return max(tf, tdf)
 
 
+def remainder_threshold(f: HardyExpr, k: int) -> float:
+    """Certified t past which |f^(k+1)| is decreasing (1 when it vanishes).
+
+    From there on, the Lagrange remainder of the degree-k expansion of f at
+    N over [N, N + L] is at most |f^(k+1)(N)| L^(k+1) / (k+1)!.
+    """
+    g = derivative(f, k + 1)
+    return 1.0 if g.is_zero else decreasing_abs_threshold(g)
+
+
 def taylor_window(f: HardyExpr, N: int, k: int, L_at_N: float) -> TaylorWindow:
     """Expansion coefficients q_j = f^(j)(N)/j! and a certified remainder bound.
 
-    The Lagrange remainder over h in [0, L] is at most
-    |f^(k+1)(N)| L^(k+1) / (k+1)!  once |f^(k+1)| is decreasing past N; the
+    The bound is the Lagrange remainder of :func:`remainder_threshold`; the
     operation refuses below the certified threshold instead of guessing.
     """
     if k < 1:
         raise PreconditionError("window order must be at least 1")
-    coeffs = []
-    g = f
-    for j in range(k + 1):
-        coeffs.append(evaluate_dd(g, N) * Fraction(1, math.factorial(j)))
-        g = differentiate(g)
-    # g is now f^(k+1)
-    if g.is_zero:
-        return TaylorWindow(N, tuple(coeffs), 0.0)
-    threshold = decreasing_abs_threshold(g)
+    coeffs = [evaluate_dd(derivative(f, j), N) * Fraction(1, math.factorial(j))
+              for j in range(k + 1)]
+    threshold = remainder_threshold(f, k)
     if N < threshold:
         raise PreconditionError(
             f"N={N} below certified monotonicity threshold {threshold:.6g} for |f^({k + 1})|")
-    bound = abs(float(evaluate_dd(g, N))) * L_at_N ** (k + 1) / math.factorial(k + 1)
+    bound = abs(float(evaluate_dd(derivative(f, k + 1), N))) * L_at_N ** (k + 1) \
+        / math.factorial(k + 1)
     return TaylorWindow(N, tuple(coeffs), bound)
+
+
+# --------------------------------------------------------------------------
+# exponents on a fixed dyadic anchor grid
+
+TARGET_REL = 2.0 ** -100  # certified |error| <= TARGET_REL * max(1, |f(n)|)
+_SHARE = 2.0 ** -104      # part of it for the truncation and for the float tail
+_MAX_DD_ORDERS = 4        # Horner orders run in DD; the grid gets finer until this suffices
+_ANCHOR_BITS = range(6, 14)
+_MAX_ORDER = 30
+_PROBE_OCTAVES = (1, 4, 16)
+_TABLE_BITS = 120
+_TAYLOR_END = 2 ** 52  # n, h and v stay exact floats below this
+
+
+def _to_dd(values) -> tuple[np.ndarray, np.ndarray]:
+    """mpmath values rounded to DD arrays (relative error <= u^2)."""
+    hi = np.array([float(v) for v in values])
+    lo = np.array([float(v - h) for v, h in zip(values, hi)])
+    return hi, lo
+
+
+@lru_cache(maxsize=None)
+def _ln_table(s: int):
+    """ln k for k in [2^s, 2^(s+1))."""
+    from mpmath import mp
+
+    with mp.workprec(_TABLE_BITS):
+        return _to_dd([mp.ln(k) for k in range(2 ** s, 2 ** (s + 1))])
+
+
+@lru_cache(maxsize=None)
+def _pow_table(s: int, a: Fraction):
+    """k^a for k in [2^s, 2^(s+1))."""
+    from mpmath import mp
+
+    num, den = abs(a.numerator), a.denominator
+    with mp.workprec(_TABLE_BITS):
+        vals = [mp.root(mp.mpf(k) ** num, den) for k in range(2 ** s, 2 ** (s + 1))]
+        return _to_dd([1 / v for v in vals] if a < 0 else vals)
+
+
+@lru_cache(maxsize=None)
+def _root2_table(a: Fraction):
+    """2^(r/q) for r in [0, q), q the denominator of a."""
+    from mpmath import mp
+
+    with mp.workprec(_TABLE_BITS):
+        return _to_dd([mp.mpf(2) ** (mp.mpf(r) / a.denominator) for r in range(a.denominator)])
+
+
+class AnchoredTaylor:
+    """Evaluate f at integers n by Taylor windows on a fixed dyadic anchor grid.
+
+    For n in [2^e, 2^(e+1)) the window length is H = 2^(e-s) and the anchor
+    m is n rounded down to a multiple of H, so m = k H with k in
+    [2^s, 2^(s+1)), and h = n - m and v = h/H in [0, 1) are exact floats.
+    Then f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders
+    up to J run as a DD Horner scheme, the small orders J+1..K as a float64
+    one.  Each r_j is computed once per anchor, vectorized over a call's
+    anchors, from r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j)
+    log^i(t) of f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2
+    and k^-j are shared across orders and built from per-k tables rounded
+    from mpmath, so no exp or ln runs per sample.
+
+    Every anchor gets an error bound over its window: the Lagrange remainder
+    |r_(K+1)| (valid once |f^(K+1)| decreases, see
+    :func:`remainder_threshold`), the propagated rounding of each r_j, and
+    the rounding of both Horner schemes, all from the ddmath operation
+    bounds.  s, K and J are chosen once so that truncation and float tail
+    each stay below 2^-104 max(1, |f|) at probe anchors, which keeps the
+    bound below TARGET_REL max(1, |f|) except where f nearly cancels (then
+    no DD evaluation reaches it, and the bound says so).  Below ``n_start``
+    f is evaluated directly, with :func:`hardy.dd_error_bound`.  The value
+    at n depends on n alone, never on the other indices of a call.
+    """
+
+    def __init__(self, f: HardyExpr):
+        self.f = f
+        self.n_start = None  # None: direct evaluation everywhere
+        self._lock = threading.Lock()
+        self._tables = None
+        if all(t.power.denominator == 1 and t.logpow == 0 for t in f.terms):
+            return  # polynomials evaluate exactly or nearly so, and cheaply
+        orders = [f]
+        for j in range(1, _MAX_ORDER + 2):
+            orders.append(differentiate(orders[-1]).scaled(Fraction(1, j)))
+        try:
+            plan = self._plan(orders)
+        except OverflowError:  # probe magnitudes beyond float range: huge powers
+            plan = None
+        if plan is None:
+            return
+        self.s, self.K, self.J = plan
+        try:
+            threshold = remainder_threshold(f, self.K)
+        except PreconditionError:
+            return
+        if threshold >= _TAYLOR_END:
+            return
+        self.n_start = 2 ** max(self.s + 1, math.ceil(math.log2(max(threshold, 1.0))))
+        # per order: (a, i, coefficient pair, its error, exactly one) per term
+        self.orders = [[(t.power + j, t.logpow, coeff_pair(t), coeff_error(t),
+                         t.coeff == 1 and t.const is None) for t in g.terms]
+                       for j, g in enumerate(orders[:self.K + 2])]
+        self.powers = sorted({a for terms in self.orders for a, *_ in terms})
+        self.max_logpow = max(i for terms in self.orders for _, i, *_ in terms)
+
+    @staticmethod
+    def _plan(orders) -> Optional[tuple[int, int, int]]:
+        """(s, K, J) from float coefficient ratios at probe anchors."""
+        # r_j at m = k 2^p is the sum of c k^(a-j) 2^(p a) (ln m)^i over the
+        # terms c t^(a-j) log^i(t) of f^(j)/j!
+        terms = [[(t.coeff_float(), float(t.power), float(t.power + j), t.logpow)
+                  for t in g.terms] for j, g in enumerate(orders)]
+        plan = None
+        for s in _ANCHOR_BITS:
+            rho = np.zeros(len(orders))
+            for k in (2 ** s, 2 ** (s + 1) - 1):
+                for p in _PROBE_OCTAVES:
+                    L = math.log(k) + p * math.log(2)
+                    r = np.array([abs(sum(c * k ** e * 2.0 ** (p * a) * L ** i
+                                          for c, e, a, i in tj)) for tj in terms])
+                    rho = np.maximum(rho, r / max(1.0, r[0]))
+            small = np.flatnonzero(rho[2:] <= _SHARE)
+            if not small.size:
+                continue
+            K = int(small[0]) + 1  # rho[K+1] <= _SHARE
+            J = next(J for J in range(K + 1)
+                     if (2 * (K - J) + 2) * U * rho[J + 1:K + 1].sum() <= _SHARE)
+            plan = (s, K, J)
+            if J <= _MAX_DD_ORDERS:
+                break
+        return plan
+
+    def evaluate(self, ns: np.ndarray):
+        """(DD value pair, absolute error bound) of f at the int64 indices ns."""
+        ns = np.asarray(ns, dtype=np.int64)
+        direct = (ns < (self.n_start or _TAYLOR_END)) | (ns >= _TAYLOR_END)
+        hi = np.empty(ns.shape)
+        lo = np.empty(ns.shape)
+        bound = np.empty(ns.shape)
+        if not direct.all():
+            tay = np.flatnonzero(~direct)
+            (hi[tay], lo[tay]), bound[tay] = self._taylor(ns[tay])
+        if direct.any():
+            nd = ns[direct]
+            v = evaluate_kernel(self.f, DD, DD.from_int_array(nd))
+            hi[direct] = np.broadcast_to(v[0], nd.shape)
+            lo[direct] = np.broadcast_to(v[1], nd.shape)
+            bound[direct] = dd_error_bound(self.f, nd.astype(np.float64))
+        return (hi, lo), bound
+
+    def _taylor(self, ns):
+        s, K, J = self.s, self.K, self.J
+        p = np.frexp(ns.astype(np.float64))[1] - 1 - s  # H = 2^p; exact below 2^53
+        m = (ns >> p) << p
+        if np.all(m[1:] >= m[:-1]):
+            new = np.empty(m.shape, dtype=bool)
+            new[:1] = True
+            np.not_equal(m[1:], m[:-1], out=new[1:])
+            anchors, inv = m[new], np.cumsum(new) - 1
+        else:
+            anchors, inv = np.unique(m, return_inverse=True)
+        pa = np.frexp(anchors.astype(np.float64))[1] - 1 - s
+        r, bound = self._coefficients(anchors >> pa, pa)
+        v = np.ldexp((ns - m).astype(np.float64), -p)
+        hi = np.empty(v.shape)
+        lo = np.empty(v.shape)
+        for b in range(0, len(v), BLOCK):
+            vb, ib = v[b:b + BLOCK], inv[b:b + BLOCK]
+            if J < K:
+                t = r[K][0][ib]
+                for j in range(K - 1, J, -1):
+                    t = t * vb + r[j][0][ib]
+                acc = DD.add((r[J][0][ib], r[J][1][ib]), (t * vb, np.zeros_like(vb)))
+            else:
+                acc = (r[K][0][ib], r[K][1][ib])
+            for j in range(J - 1, -1, -1):
+                acc = DD.add((r[j][0][ib], r[j][1][ib]), DD.mul_float(acc, vb))
+            hi[b:b + BLOCK], lo[b:b + BLOCK] = acc
+        return (hi, lo), bound[inv]
+
+    def _load_tables(self):
+        with self._lock:
+            if self._tables is None:
+                self._tables = (
+                    {a: _pow_table(self.s, a) for a in self.powers},
+                    {a: _root2_table(a) for a in self.powers if a.denominator > 1},
+                    _pow_table(self.s, Fraction(-1)),
+                    _ln_table(self.s) if self.max_logpow else None)
+        return self._tables
+
+    def _coefficients(self, k, p):
+        """Per anchor m = k 2^p: DD r_0..r_(K+1) and the error bound over its window.
+
+        Errors are tracked in units of u^2: a relative bound per shared
+        factor, then an absolute one per order.
+        """
+        s, K, J = self.s, self.K, self.J
+        pows, root2, inv_k, ln_k = self._load_tables()
+        idx = k - 2 ** s
+        M = {}
+        for a in self.powers:
+            x = (pows[a][0][idx], pows[a][1][idx])
+            rel = 0.0 if a.denominator == 1 and 0 <= a * (s + 1) <= 106 else 1.0
+            if a.denominator > 1:
+                rr = (p * a.numerator) % a.denominator
+                x = DD.mul(x, (root2[a][0][rr], root2[a][1][rr]))
+                rel += 1.0 + MUL_ERR
+            M[a] = (DD.ldexp(x, (p * a.numerator) // a.denominator), rel)
+        Lp = [None]
+        if self.max_logpow:
+            L = DD.add((ln_k[0][idx], ln_k[1][idx]), DD.mul_float(LN2, p.astype(np.float64)))
+            rel_L = 1.0 + MUL_FLOAT_ERR + ADD_ERR  # both summands are positive
+            Lp.append((L, rel_L))
+            for _ in range(2, self.max_logpow + 1):
+                Lp.append((DD.mul(Lp[-1][0], L), Lp[-1][1] + rel_L + MUL_ERR))
+        ik = ((inv_k[0][idx], inv_k[1][idx]), 1.0)
+        ikj = ik
+        coeffs, errs = [], []
+        for j, terms in enumerate(self.orders):
+            acc = (np.zeros(k.shape), np.zeros(k.shape))
+            err = np.zeros(k.shape)
+            mag_sum = np.zeros(k.shape)
+            for n_t, (a, i, c, c_err, unit) in enumerate(terms):
+                x, rel = M[a]
+                if i:
+                    x = DD.mul(x, Lp[i][0])
+                    rel += Lp[i][1] + MUL_ERR
+                if not unit:
+                    x = DD.mul(x, c)
+                    rel += c_err + MUL_ERR
+                mag = np.abs(x[0])
+                err = err + rel * mag
+                mag_sum = mag_sum + mag
+                acc = x if n_t == 0 else DD.add(acc, x)
+            err = err + ADD_ERR * max(len(terms) - 1, 0) * mag_sum
+            if j:
+                acc = DD.mul(acc, ikj[0])
+                err = err * np.abs(ikj[0][0]) + (ikj[1] + MUL_ERR) * np.abs(acc[0])
+                ikj = (DD.mul(ikj[0], ik[0]), ikj[1] + ik[1] + MUL_ERR)
+            coeffs.append(acc)
+            errs.append(err)
+        mags = np.array([np.abs(c[0]) for c in coeffs])
+        S = np.cumsum(mags[K::-1], axis=0)[::-1]  # S[j] = sum of mags[j..K]
+        horner = U2 * (ADD_ERR + MUL_FLOAT_ERR) * S[:J + 1].sum(axis=0)
+        if J < K:
+            horner = horner + (2 * (K - J) + 2) * U * (1 + 2.0 ** -40) * S[J + 1]
+        coef = U2 * np.sum(errs[:K + 1], axis=0)
+        lagrange = mags[K + 1] + U2 * errs[K + 1]
+        return coeffs, (1 + 2.0 ** -20) * (lagrange + coef + horner)

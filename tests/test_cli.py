@@ -177,6 +177,15 @@ class TestExitCodes:
     def test_precision_cap(self, torus_config):
         assert cli.main(["weyl", torus_config, "--N", "2e7"]) == cli.EXIT_PRECISION
 
+    def test_weyl_product_config_needs_m(self, capsys):
+        # the tests' k vectors are block-local; the product torus needs 4 entries
+        rc = cli.main(["weyl", str(INSTANCES / "heisenberg_pair.json"), "--N", "10"])
+        assert rc == cli.EXIT_CONFIG
+        assert "--m" in capsys.readouterr().err
+        rc = cli.main(["weyl", str(INSTANCES / "heisenberg_pair.json"), "--N", "10",
+                       "--m", "1,0"])
+        assert rc == cli.EXIT_CONFIG
+
     def test_missing_frequency(self, tmp_path):
         p = tmp_path / "no_tests.json"
         p.write_text(json.dumps({
