@@ -74,6 +74,9 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would re-check the schema itself on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 class ConfigError(ValueError):
     pass
@@ -110,10 +113,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return doc
 
 

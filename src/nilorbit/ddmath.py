@@ -16,6 +16,15 @@ precisions:
 All functions are branch-free numpy expressions, so they accept scalars and
 arrays alike and never disturb summation order.
 
+The error-free transformations ``two_sum``, ``quick_two_sum`` (Fast2Sum)
+and ``two_prod`` (Dekker's product over the Veltkamp ``split``) return a
+rounded result and its exact error.  Besides the kernels, the compensated
+Horner scheme of :class:`nilorbit.windows.AnchoredTaylor` is built on them,
+and ``floor_frac`` uses them to split a DD value into its floor and its
+fractional part, both exact (the fractional part rounds once, by at most
+2^-107, only for -1 < hi < 0), which is what the lattice reduction of the
+orbit engine needs.
+
 Error bounds are counted in units of ``U2`` = u^2 = 2^-106: ``ADD_ERR``,
 ``MUL_ERR`` and ``MUL_FLOAT_ERR`` bound the relative error of ``add``,
 ``mul`` and ``mul_float``, and ``exp_error``/``ln_error`` model ``exp`` and
@@ -33,30 +42,34 @@ import numpy as np
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 
 
-def _two_sum(a, b):
+# Error-free transformations: each returns (rounded result, exact error).
+
+def two_sum(a, b):
     s = a + b
     bb = s - a
     err = (a - (s - bb)) + (b - bb)
     return s, err
 
 
-def _quick_two_sum(a, b):
-    # requires |a| >= |b|
+def quick_two_sum(a, b):
+    # Fast2Sum: requires a == 0 or exponent(a) >= exponent(b), e.g. |a| >= |b|
     s = a + b
     err = b - (s - a)
     return s, err
 
 
-def _split(a):
+def split(a):
+    # Veltkamp split into two halves of at most 26 significant bits each; a
+    # float with at most 26 significant bits splits as (a, 0)
     c = _SPLITTER * a
     hi = c - (c - a)
     return hi, a - hi
 
 
-def _two_prod(a, b):
+def two_prod(a, b):
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    ah, al = split(a)
+    bh, bl = split(b)
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
 
@@ -78,9 +91,13 @@ class _DDKernel:
 
     @staticmethod
     def from_int_array(n):
-        # exact for |n| < 2^53; larger integers get a correction limb
+        # exact for |n| < 2^53; larger integers (int64, or Python ints in an
+        # object array) get a correction limb
         a = np.asarray(n)
         hi = a.astype(np.float64)
+        if a.dtype == object:
+            lo = (a - np.array([int(h) for h in hi.flat], dtype=object).reshape(a.shape))
+            return hi, lo.astype(np.float64)
         lo = (a - hi.astype(a.dtype)).astype(np.float64) if np.issubdtype(a.dtype, np.integer) else np.zeros_like(hi)
         return hi, lo
 
@@ -90,12 +107,12 @@ class _DDKernel:
 
     @staticmethod
     def add(x, y):
-        s1, s2 = _two_sum(x[0], y[0])
-        t1, t2 = _two_sum(x[1], y[1])
+        s1, s2 = two_sum(x[0], y[0])
+        t1, t2 = two_sum(x[1], y[1])
         s2 = s2 + t1
-        s1, s2 = _quick_two_sum(s1, s2)
+        s1, s2 = quick_two_sum(s1, s2)
         s2 = s2 + t2
-        return _quick_two_sum(s1, s2)
+        return quick_two_sum(s1, s2)
 
     @staticmethod
     def sub(x, y):
@@ -112,15 +129,15 @@ class _DDKernel:
 
     @staticmethod
     def mul(x, y):
-        p1, p2 = _two_prod(x[0], y[0])
+        p1, p2 = two_prod(x[0], y[0])
         p2 = p2 + (x[0] * y[1] + x[1] * y[0])
-        return _quick_two_sum(p1, p2)
+        return quick_two_sum(p1, p2)
 
     @staticmethod
     def mul_float(x, c):
-        p1, p2 = _two_prod(x[0], c)
+        p1, p2 = two_prod(x[0], c)
         p2 = p2 + x[1] * c
-        return _quick_two_sum(p1, p2)
+        return quick_two_sum(p1, p2)
 
     @staticmethod
     def div(x, y):
@@ -129,7 +146,7 @@ class _DDKernel:
         q2 = r[0] / y[0]
         r = _DDKernel.sub(r, _DDKernel.mul_float(y, q2))
         q3 = r[0] / y[0]
-        s1, s2 = _quick_two_sum(q1, q2)
+        s1, s2 = quick_two_sum(q1, q2)
         return _DDKernel.add((s1, s2), (q3, np.zeros_like(q3)))
 
     @staticmethod
@@ -157,14 +174,31 @@ class _DDKernel:
 
     @staticmethod
     def floor(x):
+        return _DDKernel.floor_frac(x)[0]
+
+    @staticmethod
+    def floor_frac(x):
+        """(floor(x), x - floor(x)); the floor is exact, and so is the
+        fractional part unless -1 < hi < 0.
+
+        With fh = floor(hi), the Fast2Sum of -fh and hi is valid (fh is 0, or
+        has hi's exponent, or |fh| >= |hi|) and exact; its error term is
+        nonzero only for -1 < hi < 0.  A non-integral hi leaves hi - fh a
+        multiple of ulp(hi) >= 2|lo|, so a Fast2Sum with lo gives the
+        fractional part exactly; an integral hi leaves lo - floor(lo), again
+        one Fast2Sum.  For -1 < hi < 0 the value 1 + hi + lo may span more
+        than 106 bits, and only the sum of the error term with lo rounds (by
+        at most 2^-107).
+        """
         fh = np.floor(x[0])
-        fl = np.where(fh == x[0], np.floor(x[1]), 0.0)
-        return _two_sum(fh, fl)
+        dh, e = quick_two_sum(-fh, x[0])
+        fl = np.where(dh == 0.0, np.floor(x[1]), 0.0)
+        return quick_two_sum(fh, fl), quick_two_sum(dh - fl, e + x[1])
 
     @staticmethod
     def frac(x):
-        """Fractional part in [0, 1) up to representation rounding."""
-        return _DDKernel.sub(x, _DDKernel.floor(x))
+        """Fractional part in [0, 1), exact as a pair (its float may round to 1)."""
+        return _DDKernel.floor_frac(x)[1]
 
     @staticmethod
     def exp(x):
@@ -261,6 +295,11 @@ class _FPKernel:
     @staticmethod
     def frac(x):
         return x - np.floor(x)
+
+    @staticmethod
+    def floor_frac(x):
+        fl = np.floor(x)
+        return fl, x - fl
 
     @staticmethod
     def pow_fraction(x, a: Fraction):

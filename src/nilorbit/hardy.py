@@ -450,9 +450,6 @@ class GrowthComparison:
     relation: Ordering
     ratio: Optional[Fraction | float] = None  # limit f/g, set iff SIMILAR
 
-    def ratio_float(self) -> float:
-        return float(self.ratio)
-
 
 def compare(f: HardyExpr, g: HardyExpr) -> GrowthComparison:
     """Decide f ≺ g, f ∼ g (with ratio limit) or f ≻ g by dominant growth."""
@@ -914,8 +911,8 @@ def evaluate_mp(f: HardyExpr, n: int, prec_bits: int):
         return total
 
 
-def _int_root(m: int, q: int) -> int:
-    """Floor of the q-th root of a nonnegative integer."""
+def int_root(m: int, q: int) -> int:
+    """Floor of the q-th root of a nonnegative integer, for integers of any size."""
     if m < 0:
         raise ValueError("negative radicand")
     if m == 0:
@@ -924,12 +921,13 @@ def _int_root(m: int, q: int) -> int:
         return m
     if q == 2:
         return math.isqrt(m)
-    r = int(round(m ** (1.0 / q)))
-    while r ** q > m:
-        r -= 1
-    while (r + 1) ** q <= m:
-        r += 1
-    return r
+    # integer Newton from above: the iterates decrease to the floor of the root
+    r = 1 << -(-m.bit_length() // q)
+    while True:
+        nxt = ((q - 1) * r + m // r ** (q - 1)) // q
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def _term_exact_fraction(t: HardyTerm, n: int) -> Optional[Fraction]:
@@ -945,10 +943,30 @@ def _term_exact_fraction(t: HardyTerm, n: int) -> Optional[Fraction]:
     if q == 1:
         return t.coeff * Fraction(n) ** p
     m = n ** abs(p)
-    r = _int_root(m, q)
+    r = int_root(m, q)
     if r ** q != m:
         return None
     return t.coeff * (Fraction(r) if p > 0 else Fraction(1, r))
+
+
+def is_rational_polynomial(f: HardyExpr) -> bool:
+    """Polynomial in t with rational coefficients (no logs, constants or negative powers)."""
+    return all(t.const is None and t.logpow == 0 and t.power.denominator == 1
+               and t.power >= 0 for t in f.terms)
+
+
+def floor_rational_polynomial(f: HardyExpr, ns: np.ndarray) -> np.ndarray:
+    """Exact floor(f(n)) at integers n >= 1 for a polynomial with rational coefficients.
+
+    Computes (D f)(n) // D with D the lcm of the coefficient denominators:
+    in int64 when every term provably fits, in Python integers otherwise.
+    """
+    D = math.lcm(*(t.coeff.denominator for t in f.terms))
+    terms = [(int(t.coeff * D), int(t.power)) for t in f.terms]
+    n_max = int(np.max(ns, initial=1))
+    fits = sum(abs(c) * n_max ** a for c, a in terms) < 2 ** 63
+    x = ns if fits else ns.astype(object)
+    return sum((c * x ** a for c, a in terms), np.zeros(ns.shape, x.dtype)) // D
 
 
 def floor_at(f: HardyExpr, n: int, max_prec_bits: int = 4096) -> int:

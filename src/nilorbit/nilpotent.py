@@ -72,9 +72,6 @@ class UnitriangularElement:
             m[i, j] = v
         return UnitriangularElement(m)
 
-    def coords_vector(self) -> np.ndarray:
-        return np.array([self.mat[i, j] for i, j in coordinate_order(self.d)])
-
     # -- serialization (d; then row-major strict-upper entries) -------------
 
     def serialize(self) -> str:

@@ -8,10 +8,13 @@ s, so a generator is precompiled to entry-polynomial coefficients once.
 
 Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
 anchor grid (:class:`nilorbit.windows.AnchoredTaylor`): one set of
-coefficients per window, a Horner sum per sample, and a certified error bound
-per sample, which also decides when a floor needs exact evaluation.  An
-exponent depends on n alone, so every chunking of the index range yields the
-same bits.
+coefficients per window, a compensated Horner sum per sample, and a certified
+error bound per sample, which also decides when a floor needs exact
+evaluation.  An exponent depends on n alone, so every chunking of the index
+range yields the same bits.  The entry polynomials multiply by scalar DD
+constants (one split each), and the lattice reduction takes floor and
+fractional part of each entry in one step (``floor_frac``); the reduced
+columns are written straight into the sample array.
 
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
@@ -46,6 +49,8 @@ from .hardy import (
     evaluate,
     evaluate_kernel,
     floor_at,
+    floor_rational_polynomial,
+    is_rational_polynomial,
 )
 from .windows import AnchoredTaylor, WindowPlan, taylor_window
 from . import nilpotent
@@ -157,18 +162,6 @@ class OrbitSample:
 # --------------------------------------------------------------------------
 # compiled engine
 
-def _mat_mul_dd(A, B, d):
-    """Unitriangular product of scalar Double2 matrices given as dicts."""
-    C = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc = A.get((i, j), Double2(0)) + B.get((i, j), Double2(0))
-            for m in range(i + 1, j):
-                acc = acc + A.get((i, m), Double2(0)) * B.get((m, j), Double2(0))
-            C[(i, j)] = acc
-    return C
-
-
 def _log_dd(entries: dict, d: int) -> dict:
     """Nilpotent matrix log of I + U given U's strict-upper entries."""
     acc: dict[tuple[int, int], Double2] = {}
@@ -227,11 +220,9 @@ def _mat_mul_strict(A: dict, B: dict, d: int) -> dict:
     return out
 
 
-def _const_pair(K, c: Double2, shape):
-    if K is DD:
-        return (np.broadcast_to(np.float64(c.hi), shape),
-                np.broadcast_to(np.float64(c.lo), shape))
-    return np.broadcast_to(np.float64(float(c)), shape)
+def _const(K, c: Double2):
+    """A scalar kernel value: numpy broadcasts it, and a DD product splits it once."""
+    return c.pair() if K is DD else np.float64(float(c))
 
 
 def _ensure_shape(K, v, shape):
@@ -255,12 +246,15 @@ class OrbitEngine:
         # the dd kernel evaluates exponents by Taylor windows; double keeps np.power
         self.taylor = ([AnchoredTaylor(f) for f in cfg.functions] if self.K is DD
                        else None)
-        # base point split into block-local entry dicts
+        # base point split into block-local entry dicts; the horizontal
+        # coordinates are the first d - 1 (superdiagonal) ones of each block
         self.base: list[dict] = []
+        self.horiz_cols: list[int] = []
         pos = 0
         for b in d_blocks:
             m = b * (b - 1) // 2
             block_entries = cfg.base_point[pos:pos + m]
+            self.horiz_cols.extend(range(pos, pos + b - 1))
             pos += m
             self.base.append({k: v for k, v in zip(nilpotent.coordinate_order(b),
                                                    block_entries) if float(v) != 0.0})
@@ -270,42 +264,40 @@ class OrbitEngine:
     def exponents(self, ns: np.ndarray):
         """a_i(n) for each function, floored in floor mode.
 
-        Under dd, a value whose certified error margin reaches an integer is
-        floored exactly by :func:`hardy.floor_at` instead.
+        Floors are exact: polynomials with rational coefficients are floored
+        in integer arithmetic, and under dd a value whose certified error
+        margin reaches an integer is floored by :func:`hardy.floor_at`.
         """
         K = self.K
         floor = self.cfg.floor_mode is FloorMode.FLOOR
-        if self.taylor is None:
-            t = K.from_int_array(ns)
-            out = [_ensure_shape(K, evaluate_kernel(f, K, t), ns.shape)
-                   for f in self.cfg.functions]
-            return [K.floor(s) for s in out] if floor else out
         out = []
-        for f, ev in zip(self.cfg.functions, self.taylor):
-            s, bound = ev.evaluate(ns)
-            if floor:
-                fl = K.floor(s)
-                frac = K.to_float(K.sub(s, fl))
-                for i in np.flatnonzero(np.minimum(frac, 1.0 - frac) < 2.0 * bound):
-                    fl[0][i], fl[1][i] = K.from_fraction(Fraction(floor_at(f, int(ns[i]))))
-                s = fl
-            out.append(s)
+        for gi, f in enumerate(self.cfg.functions):
+            if floor and is_rational_polynomial(f):  # exact integer floors
+                out.append(K.from_int_array(floor_rational_polynomial(f, ns)))
+            elif self.taylor is None:
+                s = _ensure_shape(K, evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
+                out.append(K.floor(s) if floor else s)
+            else:
+                s, bound = self.taylor[gi].evaluate(ns)
+                if floor:
+                    s, frac = K.floor_frac(s)
+                    frac = K.to_float(frac)
+                    for i in np.flatnonzero(np.minimum(frac, 1.0 - frac) < 2.0 * bound):
+                        s[0][i], s[1][i] = K.from_fraction(Fraction(floor_at(f, int(ns[i]))))
+                out.append(s)
         return out
 
-    def _generator_matrix(self, comp: _CompiledGenerator, s, shape, d):
+    def _generator_matrix(self, comp: _CompiledGenerator, s):
         K = self.K
         out = {}
         for (r, c), coeffs in comp.poly.items():
-            acc = None
-            for cj in reversed(coeffs):
-                if acc is None:
-                    acc = _const_pair(K, cj, shape)
-                else:
-                    acc = K.add(K.mul(acc, s), _const_pair(K, cj, shape))
+            acc = _const(K, coeffs[-1])
+            for cj in reversed(coeffs[:-1]):
+                acc = K.add(K.mul(acc, s), _const(K, cj))
             out[(r, c)] = K.mul(acc, s)
         return out
 
-    def _block_product(self, mats: list[dict], d: int, shape):
+    def _block_product(self, mats: list[dict], d: int):
         K = self.K
         acc = None
         for m in mats:
@@ -331,20 +323,23 @@ class OrbitEngine:
             acc = nxt
         return acc if acc is not None else {}
 
-    def _reduce_block(self, E: dict, d: int, shape):
-        """In-place lattice reduction; returns entries with values in [0, 1)."""
+    def _reduce_block(self, E: dict, d: int):
+        """In-place lattice reduction; returns entries with values in [0, 1).
+
+        Entries absent from E are zero and stay absent.
+        """
         K = self.K
         for (i, j) in nilpotent.coordinate_order(d):
             entry = E.get((i, j))
             if entry is None:
-                E[(i, j)] = _const_pair(K, Double2(0), shape)
                 continue
-            m = K.floor(entry)
-            E[(i, j)] = K.sub(entry, m)
-            neg_m = K.neg(m)
+            m, E[(i, j)] = K.floor_frac(entry)
+            neg_m = None
             for r in range(i):
                 col_i = E.get((r, i))
                 if col_i is not None:
+                    if neg_m is None:
+                        neg_m = K.neg(m)
                     prev = E.get((r, j))
                     upd = K.mul(neg_m, col_i)
                     E[(r, j)] = upd if prev is None else K.add(prev, upd)
@@ -364,34 +359,26 @@ class OrbitEngine:
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
         expo = self.exponents(ns)
         coords = np.empty((len(ns), self.cfg.coords_dim))
-        horiz = np.empty((len(ns), self.cfg.horiz_dim))
         for b in range(0, len(ns), BLOCK):
             part = slice(b, b + BLOCK)
-            coords[part], horiz[part] = self._coordinates(
+            self._coordinates(
                 [(s[0][part], s[1][part]) if self.K is DD else s[part] for s in expo],
-                (len(ns[part]),))
-        return ns, coords, horiz
+                coords[part])
+        return ns, coords, coords[:, self.horiz_cols]
 
-    def _coordinates(self, expo, shape):
-        """Reduced and horizontal coordinates from the exponents of one block."""
+    def _coordinates(self, expo, out):
+        """Write the reduced coordinates of one block of exponents into ``out``."""
         K = self.K
-        coords_cols = []
-        horiz_cols = []
+        col = 0
         for bi, d in enumerate(self.cfg.blocks):
-            mats = [self._generator_matrix(comp, expo[gi], shape, d)
-                    for gi, comp in self.compiled[bi]]
+            mats = [self._generator_matrix(comp, expo[gi]) for gi, comp in self.compiled[bi]]
             if self.base[bi]:
-                mats.append({k: _const_pair(K, v, shape) for k, v in self.base[bi].items()})
-            E = self._block_product(mats, d, shape)
-            E = self._reduce_block(E, d, shape)
-            block_coords = []
-            for (i, j) in nilpotent.coordinate_order(d):
-                f = K.to_float(E[(i, j)])
-                f = np.where(f >= 1.0, 0.0, np.where(f < 0.0, 0.0, f))
-                block_coords.append(f)
-            coords_cols.extend(block_coords)
-            horiz_cols.extend(block_coords[: d - 1])
-        return np.column_stack(coords_cols), np.column_stack(horiz_cols)
+                mats.append({k: _const(K, v) for k, v in self.base[bi].items()})
+            E = self._reduce_block(self._block_product(mats, d), d)
+            for key in nilpotent.coordinate_order(d):
+                f = K.to_float(E[key]) if key in E else 0.0
+                out[:, col] = np.where(f >= 1.0, 0.0, f)  # the rounded sum of a pair below 1
+                col += 1
 
 
 def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ddmath import ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2
+from .ddmath import (ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, split,
+                     two_prod, two_sum)
 from .hardy import (
     HardyExpr,
     LimitKind,
@@ -41,6 +42,7 @@ from .hardy import (
     evaluate,
     evaluate_dd,
     evaluate_kernel,
+    int_root,
 )
 
 BoundPair = tuple[Fraction, Fraction]
@@ -268,6 +270,29 @@ def _to_dd(values) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _ratios_to_dd(ratios) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ratios P/Q (Q > 0) rounded to DD arrays: hi = P/Q and lo = the
+    exact rest, each correctly rounded (integer true division rounds so)."""
+    hi, lo = [], []
+    for P, Q in ratios:
+        h = P / Q
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((P * q - p * Q) / (Q * q))
+    return np.array(hi), np.array(lo)
+
+
+def _rational_power(x: int, a: Fraction) -> tuple[int, int]:
+    """x^a for an integer x >= 1 as a ratio P/Q: exact for integer a, else from
+    the floor of x^|a| 2^_TABLE_BITS (relative error < 2^-_TABLE_BITS)."""
+    num, den = abs(a.numerator), a.denominator
+    if den == 1:
+        P, Q = x ** num, 1
+    else:
+        P, Q = int_root(x ** num << (den * _TABLE_BITS), den), 1 << _TABLE_BITS
+    return (Q, P) if a < 0 else (P, Q)
+
+
 @lru_cache(maxsize=None)
 def _ln_table(s: int):
     """ln k for k in [2^s, 2^(s+1))."""
@@ -280,21 +305,77 @@ def _ln_table(s: int):
 @lru_cache(maxsize=None)
 def _pow_table(s: int, a: Fraction):
     """k^a for k in [2^s, 2^(s+1))."""
-    from mpmath import mp
-
-    num, den = abs(a.numerator), a.denominator
-    with mp.workprec(_TABLE_BITS):
-        vals = [mp.root(mp.mpf(k) ** num, den) for k in range(2 ** s, 2 ** (s + 1))]
-        return _to_dd([1 / v for v in vals] if a < 0 else vals)
+    return _ratios_to_dd(_rational_power(k, a) for k in range(2 ** s, 2 ** (s + 1)))
 
 
 @lru_cache(maxsize=None)
 def _root2_table(a: Fraction):
     """2^(r/q) for r in [0, q), q the denominator of a."""
-    from mpmath import mp
+    return _ratios_to_dd(_rational_power(2, Fraction(r, a.denominator))
+                         for r in range(a.denominator))
 
-    with mp.workprec(_TABLE_BITS):
-        return _to_dd([mp.mpf(2) ** (mp.mpf(r) / a.denominator) for r in range(a.denominator)])
+
+def _two_prod_short(a, v):
+    """two_prod(a, v) for a v with at most 26 significant bits: Dekker's
+    product with v's split (v, 0), so v needs no split."""
+    x = a * v
+    ah, al = split(a)
+    return x, (ah * v - x) + al * v
+
+
+def _horner(r, J, v, idx, prod=two_prod):
+    """DD values of sum_j r_j[idx] v^j for DD coefficient arrays r_j = (hi, lo)
+    and 0 <= v < 1, in blocks of BLOCK entries.
+
+    Orders above J run as a float64 Horner scheme on the high words; orders
+    up to J as a compensated Horner scheme: the float64 Horner of the high
+    words computes every product with ``prod`` (an exact TwoProd) and every
+    sum with TwoSum, a second float64 Horner sums those exact errors plus
+    the low words, and a final TwoSum joins the two (not Fast2Sum: where the
+    sum nearly cancels, the error sum can be the larger).  Coefficients are
+    gathered by ``idx`` as they are used, which keeps the working set small.
+    """
+    K = len(r) - 1
+    hi = np.empty(v.shape)
+    lo = np.empty(v.shape)
+    for b in range(0, len(v), BLOCK):
+        vb, ib = v[b:b + BLOCK], idx[b:b + BLOCK]
+        t = r[K][0][ib]
+        for j in range(K - 1, J, -1):
+            t = t * vb + r[j][0][ib]
+        if J < K:
+            acc, c = two_sum(r[J][0][ib], t * vb)
+            c += r[J][1][ib]
+        else:
+            acc, c = t, r[K][1][ib]
+        for j in range(J - 1, -1, -1):
+            x, pi = prod(acc, vb)
+            acc, sigma = two_sum(x, r[j][0][ib])
+            c = c * vb + ((pi + sigma) + r[j][1][ib])
+        hi[b:b + BLOCK], lo[b:b + BLOCK] = two_sum(acc, c)
+    return hi, lo
+
+
+def _horner_bound(mags, J):
+    """Bound on |_horner(r, J, v, idx) - sum_j r_j v^j| over 0 <= v < 1 from
+    the magnitudes mags[j] = |hi(r_j)|, j = 0..K.
+
+    With S_j = sum_{i>=j} mags[i]: the float tail over orders J+1..K errs by
+    at most (2(K-J) + 2) u S_(J+1) (its roundings plus the dropped low
+    words).  In the compensated part, order j's exact error term
+    pi_j + sigma_j + lo_j is at most 2u S_j (|pi_j| <= u S_(j+1),
+    |sigma_j| <= u S_j, |lo_j| <= u mags[j]) and passes through at most
+    2 min(j, J-1) + 3 roundings of the error Horner, so it adds at most
+    2 (2 min(j, J-1) + 3) S_j u^2; every running sum is at most
+    (1 + 2^-40) S_j, which the caller's final (1 + 2^-20) covers.
+    """
+    K = len(mags) - 1
+    S = np.cumsum(mags[::-1], axis=0)[::-1]  # S[j] = sum of mags[j..K]
+    roundings = 2 * np.minimum(np.arange(J + 1), J - 1) + 3
+    bound = U2 * np.tensordot(2.0 * roundings, S[:J + 1], axes=1)
+    if J < K:
+        bound = bound + (2 * (K - J) + 2) * U * (1 + 2.0 ** -40) * S[J + 1]
+    return bound
 
 
 class AnchoredTaylor:
@@ -304,23 +385,29 @@ class AnchoredTaylor:
     m is n rounded down to a multiple of H, so m = k H with k in
     [2^s, 2^(s+1)), and h = n - m and v = h/H in [0, 1) are exact floats.
     Then f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders
-    up to J run as a DD Horner scheme, the small orders J+1..K as a float64
-    one.  Each r_j is computed once per anchor, vectorized over a call's
-    anchors, from r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j)
-    log^i(t) of f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2
-    and k^-j are shared across orders and built from per-k tables rounded
-    from mpmath, so no exp or ln runs per sample.
+    up to J run as a compensated Horner scheme (Graillat, Langlois and
+    Louvet, "Algorithms for accurate, validated and fast polynomial
+    evaluation", 2009), about half the flops of a DD Horner at the same
+    accuracy, and the small orders J+1..K as a float64 one (:func:`_horner`).
+    v has at most e - s significant bits, so for e - s <= 26 its Dekker
+    split is v itself and each TwoProd splits only the running sum.  Each
+    r_j is computed once per anchor, vectorized over a call's anchors, from
+    r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
+    f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
+    are shared across orders and built from per-k tables (k^a and 2^(r/q) in
+    exact integer arithmetic, ln k from mpmath), so no exp or ln runs per
+    sample.
 
     Every anchor gets an error bound over its window: the Lagrange remainder
     |r_(K+1)| (valid once |f^(K+1)| decreases, see
     :func:`remainder_threshold`), the propagated rounding of each r_j, and
-    the rounding of both Horner schemes, all from the ddmath operation
-    bounds.  s, K and J are chosen once so that truncation and float tail
-    each stay below 2^-104 max(1, |f|) at probe anchors, which keeps the
-    bound below TARGET_REL max(1, |f|) except where f nearly cancels (then
-    no DD evaluation reaches it, and the bound says so).  Below ``n_start``
-    f is evaluated directly, with :func:`hardy.dd_error_bound`.  The value
-    at n depends on n alone, never on the other indices of a call.
+    the running-error bound of the Horner schemes (:func:`_horner_bound`).
+    s, K and J are chosen once so that truncation and float tail each stay
+    below 2^-104 max(1, |f|) at probe anchors, which keeps the bound below
+    TARGET_REL max(1, |f|) except where f nearly cancels (then no DD
+    evaluation reaches it, and the bound says so).  Below ``n_start`` f is
+    evaluated directly, with :func:`hardy.dd_error_bound`.  The value at n
+    depends on n alone, never on the other indices of a call.
     """
 
     def __init__(self, f: HardyExpr):
@@ -385,18 +472,19 @@ class AnchoredTaylor:
         """(DD value pair, absolute error bound) of f at the int64 indices ns."""
         ns = np.asarray(ns, dtype=np.int64)
         direct = (ns < (self.n_start or _TAYLOR_END)) | (ns >= _TAYLOR_END)
+        if not direct.any():
+            return self._taylor(ns)
         hi = np.empty(ns.shape)
         lo = np.empty(ns.shape)
         bound = np.empty(ns.shape)
         if not direct.all():
             tay = np.flatnonzero(~direct)
             (hi[tay], lo[tay]), bound[tay] = self._taylor(ns[tay])
-        if direct.any():
-            nd = ns[direct]
-            v = evaluate_kernel(self.f, DD, DD.from_int_array(nd))
-            hi[direct] = np.broadcast_to(v[0], nd.shape)
-            lo[direct] = np.broadcast_to(v[1], nd.shape)
-            bound[direct] = dd_error_bound(self.f, nd.astype(np.float64))
+        nd = ns[direct]
+        v = evaluate_kernel(self.f, DD, DD.from_int_array(nd))
+        hi[direct] = np.broadcast_to(v[0], nd.shape)
+        lo[direct] = np.broadcast_to(v[1], nd.shape)
+        bound[direct] = dd_error_bound(self.f, nd.astype(np.float64))
         return (hi, lo), bound
 
     def _taylor(self, ns):
@@ -413,21 +501,9 @@ class AnchoredTaylor:
         pa = np.frexp(anchors.astype(np.float64))[1] - 1 - s
         r, bound = self._coefficients(anchors >> pa, pa)
         v = np.ldexp((ns - m).astype(np.float64), -p)
-        hi = np.empty(v.shape)
-        lo = np.empty(v.shape)
-        for b in range(0, len(v), BLOCK):
-            vb, ib = v[b:b + BLOCK], inv[b:b + BLOCK]
-            if J < K:
-                t = r[K][0][ib]
-                for j in range(K - 1, J, -1):
-                    t = t * vb + r[j][0][ib]
-                acc = DD.add((r[J][0][ib], r[J][1][ib]), (t * vb, np.zeros_like(vb)))
-            else:
-                acc = (r[K][0][ib], r[K][1][ib])
-            for j in range(J - 1, -1, -1):
-                acc = DD.add((r[j][0][ib], r[j][1][ib]), DD.mul_float(acc, vb))
-            hi[b:b + BLOCK], lo[b:b + BLOCK] = acc
-        return (hi, lo), bound[inv]
+        # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
+        prod = two_prod if p.max() > 26 else _two_prod_short
+        return _horner(r[:K + 1], J, v, inv, prod), bound[inv]
 
     def _load_tables(self):
         with self._lock:
@@ -491,10 +567,6 @@ class AnchoredTaylor:
             coeffs.append(acc)
             errs.append(err)
         mags = np.array([np.abs(c[0]) for c in coeffs])
-        S = np.cumsum(mags[K::-1], axis=0)[::-1]  # S[j] = sum of mags[j..K]
-        horner = U2 * (ADD_ERR + MUL_FLOAT_ERR) * S[:J + 1].sum(axis=0)
-        if J < K:
-            horner = horner + (2 * (K - J) + 2) * U * (1 + 2.0 ** -40) * S[J + 1]
         coef = U2 * np.sum(errs[:K + 1], axis=0)
         lagrange = mags[K + 1] + U2 * errs[K + 1]
-        return coeffs, (1 + 2.0 ** -20) * (lagrange + coef + horner)
+        return coeffs, (1 + 2.0 ** -20) * (lagrange + coef + _horner_bound(mags[:K + 1], J))

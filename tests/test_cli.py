@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from nilorbit import cli, hardy as H, orbits as O
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 
 TORUS = {
     "group": {"dim": 2},
@@ -163,6 +167,9 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_config_schema_is_valid(self):
+        jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
     def test_schema_violation(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"nope": True}))
@@ -191,3 +198,23 @@ class TestExitCodes:
         p.write_text(json.dumps({
             "group": {"dim": 2}, "generators": [["phi"]], "functions": ["t"]}))
         assert cli.main(["weyl", str(p), "--N", "10"]) == cli.EXIT_CONFIG
+
+
+def test_traced_benchmark_names_resolve():
+    """Every name the benchmark tracer wraps still exists on the package."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = {t.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for t in node.targets
+             if isinstance(t, ast.Name) and t.id in ("SPANS", "GENERATORS", "DD_OPS")}
+    assert set(names) == {"SPANS", "GENERATORS", "DD_OPS"}
+    for table in (names["SPANS"], names["GENERATORS"]):
+        for modname, attrs in table.items():
+            mod = importlib.import_module(f"nilorbit.{modname}")
+            for attr in attrs:
+                obj = mod
+                for part in attr.split("."):
+                    obj = getattr(obj, part)
+                assert callable(obj), f"{modname}.{attr}"
+    from nilorbit.ddmath import DD
+    for op in names["DD_OPS"]:
+        assert callable(getattr(DD, op)), op
