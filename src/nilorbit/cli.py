@@ -3,7 +3,7 @@
 Subcommands mirror the library surface: ``classify`` for the growth/condition
 checkers, ``window`` for common-window plans, and ``orbit``, ``weyl``,
 ``discrepancy``, ``obstruction``, ``average`` as drivers over the orbit and
-averaging engines.  Outputs are deterministic for a fixed config, seed and
+averaging engines.  Outputs are deterministic for a fixed config and
 precision regardless of worker count.
 
 Exit codes: 0 ok, 2 config error, 3 precondition error, 4 precision cap
@@ -66,7 +66,7 @@ CONFIG_SCHEMA = {
                               "properties": {"gamma": {"type": ["string", "number"]}},
                               "required": ["gamma"], "additionalProperties": False}]},
         "precision": {"enum": ["double", "dd"]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer"},  # accepted and ignored: no computation draws at random
         "N_cap": {"type": "integer", "minimum": 1},
         "allow_beyond_cap": {"type": "boolean"},
     },
@@ -153,7 +153,7 @@ def build_window(doc: dict, cfg: orbits.OrbitConfig):
     """The window plan for the config's non-polynomial parts (None if none)."""
     snp = []
     for f in cfg.functions:
-        _, rest = decompose_nontrivial(f)
+        _, rest = hardy.decompose_nontrivial(f)
         if rest is not None:
             snp.append(rest)
     if not snp:
@@ -173,17 +173,6 @@ def build_window(doc: dict, cfg: orbits.OrbitConfig):
     if not plan.validate():
         raise PreconditionError(f"pinned gamma {gamma} fails membership")
     return plan
-
-
-def decompose_nontrivial(f):
-    """(poly part, snp part or None when sub-fractional/vanishing)."""
-    poly, rest = hardy.decompose(f)
-    if rest.is_zero:
-        return poly, None
-    g = hardy.classify(rest)
-    if g.is_subfractional or g.tends_to is hardy.LimitKind.ZERO:
-        return poly, None
-    return poly, rest
 
 
 def build_experiment(doc: dict) -> avg.AverageExperiment:
@@ -309,12 +298,9 @@ def cmd_orbit(args) -> int:
     try:
         sink.write(",".join(header) + "\n")
         for ns, coords, horiz in orbits.iter_sample_chunks(cfg, 1, N, args.workers):
-            lines = []
-            for i in range(len(ns)):
-                cells = ([str(int(ns[i]))] + [repr(float(x)) for x in coords[i]]
-                         + [repr(float(x)) for x in horiz[i]])
-                lines.append(",".join(cells))
-            sink.write("\n".join(lines) + "\n")
+            sink.write("".join(
+                f"{n},{','.join(map(repr, c))},{','.join(map(repr, h))}\n"
+                for n, c, h in zip(ns.tolist(), coords.tolist(), horiz.tolist())))
     finally:
         if args.out:
             sink.close()
@@ -438,17 +424,18 @@ def make_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_classify)
 
     for name, fn, extra in [
-        ("window", cmd_window, ()),
+        ("window", cmd_window, ("plot",)),
         ("orbit", cmd_orbit, ("N", "workers")),
-        ("weyl", cmd_weyl, ("N", "workers", "m")),
-        ("discrepancy", cmd_discrepancy, ("N", "workers", "grid")),
-        ("obstruction", cmd_obstruction, ("N", "Mmax")),
-        ("average", cmd_average, ("grid", "workers")),
+        ("weyl", cmd_weyl, ("N", "workers", "m", "plot")),
+        ("discrepancy", cmd_discrepancy, ("N", "workers", "grid", "plot")),
+        ("obstruction", cmd_obstruction, ("N", "Mmax", "plot")),
+        ("average", cmd_average, ("grid", "workers", "plot")),
     ]:
         s = sub.add_parser(name)
         s.add_argument("config")
         s.add_argument("--out", default=None)
-        s.add_argument("--emit-plot", action="store_true", dest="emit_plot")
+        if "plot" in extra:
+            s.add_argument("--emit-plot", action="store_true", dest="emit_plot")
         if "N" in extra:
             s.add_argument("--N", default=None, help="grid: list '1e3,1e4' or 'a:b:decade'")
         if "grid" in extra and name == "discrepancy":
@@ -461,7 +448,6 @@ def make_parser() -> argparse.ArgumentParser:
             s.add_argument("--m", default=None, help="frequency vector '1,0,0,1'")
         if "Mmax" in extra:
             s.add_argument("--Mmax", type=int, default=3)
-            s.add_argument("--workers", type=int, default=1)
         s.set_defaults(fn=fn)
     return p
 

@@ -18,12 +18,13 @@ arrays alike and never disturb summation order.
 
 The error-free transformations ``two_sum``, ``quick_two_sum`` (Fast2Sum)
 and ``two_prod`` (Dekker's product over the Veltkamp ``split``) return a
-rounded result and its exact error.  Besides the kernels, the compensated
-Horner scheme of :class:`nilorbit.windows.AnchoredTaylor` is built on them,
-and ``floor_frac`` uses them to split a DD value into its floor and its
-fractional part, both exact (the fractional part rounds once, by at most
-2^-107, only for -1 < hi < 0), which is what the lattice reduction of the
-orbit engine needs.
+rounded result and its exact error.  Besides the kernels, the one compensated
+Horner scheme of the package, :func:`comp_horner`, is built on them: it sums
+the Taylor windows of :class:`nilorbit.windows.AnchoredTaylor` and, through
+``polyval``, the entry polynomials of the orbit engine.  ``floor_frac`` uses
+them to split a DD value into its floor and its fractional part, both exact
+(the fractional part rounds once, by at most 2^-107, only for -1 < hi < 0),
+which is what the lattice reduction of the orbit engine needs.
 
 Error bounds are counted in units of ``U2`` = u^2 = 2^-106: ``ADD_ERR``,
 ``MUL_ERR`` and ``MUL_FLOAT_ERR`` bound the relative error of ``add``,
@@ -42,36 +43,106 @@ import numpy as np
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 
 
-# Error-free transformations: each returns (rounded result, exact error).
+# Error-free transformations: each returns (rounded result, exact error).  On
+# arrays they reuse their temporaries (out=, in-place), with the same bits.
 
 def two_sum(a, b):
     s = a + b
     bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
+    if isinstance(bb, np.ndarray):
+        err = s - bb
+        np.subtract(a, err, out=err)
+        np.subtract(b, bb, out=bb)
+        err += bb
+        return s, err
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def quick_two_sum(a, b):
     # Fast2Sum: requires a == 0 or exponent(a) >= exponent(b), e.g. |a| >= |b|
     s = a + b
-    err = b - (s - a)
-    return s, err
+    err = s - a
+    if isinstance(err, np.ndarray):
+        return s, np.subtract(b, err, out=err)
+    return s, b - err
 
 
 def split(a):
     # Veltkamp split into two halves of at most 26 significant bits each; a
     # float with at most 26 significant bits splits as (a, 0)
     c = _SPLITTER * a
-    hi = c - (c - a)
+    hi = c - a
+    if isinstance(hi, np.ndarray):
+        np.subtract(c, hi, out=hi)
+        return hi, np.subtract(a, hi, out=c)
+    hi = c - hi
     return hi, a - hi
+
+
+def _prod_err(p, ah, al, bh, bl):
+    """((ah bh - p) + ah bl + al bh) + al bl, the error of p = a b."""
+    err = ah * bh
+    err -= p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    return err
 
 
 def two_prod(a, b):
     p = a * b
-    ah, al = split(a)
+    return p, _prod_err(p, *split(a), *split(b))
+
+
+def two_prod_by(b):
+    """two_prod(., b) with b split once, for many products by the same b."""
     bh, bl = split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
+
+    def prod(a, _b):
+        p = a * b
+        return p, _prod_err(p, *split(a), bh, bl)
+
+    return prod
+
+
+def comp_horner(coeffs, J, x, prod=two_prod, x_lo=None):
+    """DD value of sum_j c_j x^j, the DD pairs c_j = coeffs[j] (scalars or
+    arrays like x; None for zero, except the top one).
+
+    Orders above J run as a float64 Horner scheme on the high words, orders
+    up to J as the compensated Horner scheme of Graillat, Langlois and Louvet
+    ("Algorithms for accurate, validated and fast polynomial evaluation",
+    2009): the float64 Horner of the high words takes every product with
+    ``prod`` (an exact TwoProd) and every sum with TwoSum, a second float64
+    Horner sums those exact errors plus the low words, and a final TwoSum
+    (not Fast2Sum: where the sum nearly cancels, the error sum can be the
+    larger) joins the two.  A DD variable passes its low word as ``x_lo``;
+    the error Horner then also carries acc x_lo, leaving out only the
+    second-order terms.
+    """
+    K = len(coeffs) - 1
+    t = coeffs[K][0]
+    if J < K:
+        t = t * x
+        for j in range(K - 1, J, -1):
+            t += coeffs[j][0]
+            t *= x
+        acc, c = two_sum(coeffs[J][0], t)
+        c += coeffs[J][1]
+    else:
+        acc, c = t, coeffs[K][1]
+    for j in range(J - 1, -1, -1):
+        p, pi = prod(acc, x)
+        if x_lo is not None:
+            pi += acc * x_lo
+        if coeffs[j] is None:
+            acc = p
+        else:
+            acc, sigma = two_sum(p, coeffs[j][0])
+            pi += sigma
+            pi += coeffs[j][1]
+        c = c * x + pi
+    return two_sum(acc, c)
 
 
 class _DDKernel:
@@ -201,6 +272,23 @@ class _DDKernel:
         return _DDKernel.floor_frac(x)[1]
 
     @staticmethod
+    def frac_float(x):
+        """The float of the fractional part, in [0, 1] (1 where it rounds up):
+        hi - floor(hi) is exact unless -1 < hi < 0, adding lo rounds once,
+        and a negative sum (integral hi, lo < 0) wraps by one more floor."""
+        f = (x[0] - np.floor(x[0])) + x[1]
+        return f - np.floor(f)
+
+    @staticmethod
+    def polyval(polys, x):
+        """Polynomials (coefficient lists c_0, c_1, ... as for
+        :func:`comp_horner`) at x, with x's high word split once for all."""
+        prod = two_prod_by(x[0])
+        vals = (comp_horner(c, len(c) - 1, x[0], prod, x[1]) for c in polys)
+        return [(np.broadcast_to(h, x[0].shape), np.broadcast_to(lo, x[0].shape))
+                for h, lo in vals]
+
+    @staticmethod
     def exp(x):
         """exp for |x| <~ 700; ~1e-31 relative accuracy."""
         k = np.round(x[0] / _LN2F)
@@ -300,6 +388,18 @@ class _FPKernel:
     def floor_frac(x):
         fl = np.floor(x)
         return fl, x - fl
+
+    frac_float = frac
+
+    @staticmethod
+    def polyval(polys, x):
+        vals = []
+        for c in polys:
+            acc = c[-1]
+            for cj in reversed(c[:-1]):
+                acc = acc * x if cj is None else acc * x + cj
+            vals.append(np.broadcast_to(acc, x.shape))
+        return vals
 
     @staticmethod
     def pow_fraction(x, a: Fraction):

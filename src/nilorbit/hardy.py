@@ -543,6 +543,18 @@ def decompose(f: HardyExpr) -> tuple[HardyExpr, HardyExpr]:
     return HardyExpr(poly), HardyExpr(rest)
 
 
+def decompose_nontrivial(f: HardyExpr) -> tuple[HardyExpr, Optional[HardyExpr]]:
+    """(polynomial part, the rest or None when it vanishes or is sub-fractional
+    or o(1)): the split that window plans and the obstruction search use."""
+    poly, rest = decompose(f)
+    if rest.is_zero:
+        return poly, None
+    g = classify(rest)
+    if g.is_subfractional or g.tends_to is LimitKind.ZERO:
+        return poly, None
+    return poly, rest
+
+
 def nonpolynomial_growth(f: HardyExpr) -> Optional[GrowthPair]:
     """Growth pair of the non-polynomial part's dominant term; None when the
     part tends to 0 (trivial growth)."""

@@ -3,18 +3,22 @@
 The engine evaluates g(n) = b_1^(a_1(n)) ... b_k^(a_k(n)) x and reduces it to
 fundamental-domain coordinates, vectorized over blocks of n in double-double
 precision (group entries grow like a(n)^(d-1), far beyond float64 once
-a(n) ~ 1e9).  Since log b is nilpotent, every entry of b^s is a polynomial in
-s, so a generator is precompiled to entry-polynomial coefficients once.
+a(n) ~ 1e9).  Since log b is nilpotent, every entry of b^s x is a polynomial
+in s: each block's generator is compiled once, with the base point folded in,
+to scalar DD coefficients of its entry polynomials (several commuting
+generators on one group fold it into the last one and are multiplied out per
+sample).  A sample evaluates each entry by the compensated Horner scheme of
+:func:`nilorbit.ddmath.comp_horner`, the DD exponent split once per block.
 
 Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
 anchor grid (:class:`nilorbit.windows.AnchoredTaylor`): one set of
 coefficients per window, a compensated Horner sum per sample, and a certified
 error bound per sample, which also decides when a floor needs exact
 evaluation.  An exponent depends on n alone, so every chunking of the index
-range yields the same bits.  The entry polynomials multiply by scalar DD
-constants (one split each), and the lattice reduction takes floor and
-fractional part of each entry in one step (``floor_frac``); the reduced
-columns are written straight into the sample array.
+range yields the same bits.  The lattice reduction is planned per block at
+build time and computes only what later steps read (a floor, a DD fractional
+part, or just the float coordinate); the coordinates are written straight
+into the sample array.
 
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
@@ -42,10 +46,8 @@ import numpy as np
 from .ddmath import BLOCK, DD, KERNELS, Double2
 from .hardy import (
     HardyExpr,
-    LimitKind,
     PreconditionError,
-    classify,
-    decompose,
+    decompose_nontrivial,
     evaluate,
     evaluate_kernel,
     floor_at,
@@ -177,34 +179,6 @@ def _log_dd(entries: dict, d: int) -> dict:
     return acc
 
 
-class _CompiledGenerator:
-    """Entry polynomials of s -> b^s for one generator inside its block."""
-
-    __slots__ = ("block", "poly")
-
-    def __init__(self, block: int, entries: Sequence[Double2], d: int):
-        self.block = block
-        lam = _log_dd({k: v for k, v in zip(nilpotent.coordinate_order(d),
-                                            entries) if float(v) != 0.0}, d)
-        lam = {k: v for k, v in lam.items() if not (v.hi == 0 and v.lo == 0)}
-        # M_j = lam^j / j!; entry (r, c) of b^s is sum_{j>=1} M_j[r, c] s^j
-        poly: dict[tuple[int, int], list] = {}
-        power = lam
-        fact = 1
-        for j in range(1, d):
-            fact *= j
-            inv = Fraction(1, fact)
-            for k, v in power.items():
-                coeffs = poly.setdefault(k, [])
-                while len(coeffs) < j:
-                    coeffs.append(Double2(0))
-                coeffs[j - 1] = v * inv
-            power = _mat_mul_strict(power, lam, d)
-            if not power:
-                break
-        self.poly = poly  # (r, c) -> [c_1, c_2, ...] with entry = sum c_j s^j
-
-
 def _mat_mul_strict(A: dict, B: dict, d: int) -> dict:
     out = {}
     for i in range(d):
@@ -220,6 +194,30 @@ def _mat_mul_strict(A: dict, B: dict, d: int) -> dict:
     return out
 
 
+def _entry_polynomials(entries: Sequence[Double2], d: int, base: dict) -> dict:
+    """Entry polynomials of s -> b^s X for the generator b with strict-upper
+    ``entries`` and the base-point matrix X = I + U, U = ``base``: with
+    lam = log b and M_j = lam^j / j!, entry (r, c) is
+    U[r, c] + sum_{j>=1} s^j (M_j X)[r, c].  Maps each nonzero entry to its
+    coefficients [c_0, c_1, ...], None marking a zero."""
+    lam = _log_dd({k: v for k, v in zip(nilpotent.coordinate_order(d), entries)
+                   if float(v) != 0.0}, d)
+    terms, power = [base], {k: v for k, v in lam.items() if not _is_zero(v)}
+    for j in range(1, d):
+        mj = {k: v * Fraction(1, math.factorial(j)) for k, v in power.items()}
+        mju = _mat_mul_strict(mj, base, d)
+        terms.append({k: mj.get(k, Double2(0)) + mju.get(k, Double2(0)) for k in {*mj, *mju}})
+        power = _mat_mul_strict(power, lam, d)
+    poly = {}
+    for key in set().union(*terms):
+        coeffs = [None if _is_zero(t.get(key, Double2(0))) else t[key] for t in terms]
+        while coeffs and coeffs[-1] is None:
+            coeffs.pop()
+        if coeffs:
+            poly[key] = coeffs
+    return poly
+
+
 def _const(K, c: Double2):
     """A scalar kernel value: numpy broadcasts it, and a DD product splits it once."""
     return c.pair() if K is DD else np.float64(float(c))
@@ -231,33 +229,68 @@ def _ensure_shape(K, v, shape):
     return np.broadcast_to(v, shape)
 
 
+class _Block:
+    """One block: its generators' entry polynomials, as kernel constants and
+    with the base point folded into the last generator, and its reduction.
+
+    The reduction clears the entries in :func:`nilpotent.coordinate_order`:
+    clearing (i, j) by its floor m subtracts m (r, i) from (r, j) for every
+    nonzero column entry (r, i), r < i.  ``steps`` holds, per coordinate,
+    (key, the rows r of its updates, whether a later step reads its reduced
+    value as a column entry), or None for an entry that stays zero.  Only an
+    entry with updates needs its floor, and only a later column entry needs
+    its fractional part in DD; the others need just its float.
+    """
+
+    __slots__ = ("d", "gens", "steps")
+
+    def __init__(self, K, d: int, gens: list, base: dict):
+        self.d = d
+        self.gens = []
+        for t, (gi, entries) in enumerate(gens):
+            poly = _entry_polynomials(entries, d, base if t == len(gens) - 1 else {})
+            self.gens.append((gi, list(poly), [[None if c is None else _const(K, c) for c in cs]
+                                               for cs in poly.values()]))
+        # several generators: their product may fill any entry
+        present = ({k for _, keys, _ in self.gens for k in keys} if len(gens) == 1
+                   else set(nilpotent.coordinate_order(d)))
+        steps = []
+        for i, j in nilpotent.coordinate_order(d):
+            rows = tuple(r for r in range(i) if (r, i) in present)
+            steps.append([(i, j), rows] if (i, j) in present else None)
+            if (i, j) in present:
+                present.update((r, j) for r in rows)
+        read = set()  # column entries read by the later steps
+        for step in reversed(steps):
+            if step is not None:
+                (i, j), rows = step
+                step.append((i, j) in read)
+                read.update((r, i) for r in rows)
+        self.steps = [step and tuple(step) for step in steps]
+
+
 class OrbitEngine:
     """Precompiled orbit evaluator for one configuration."""
 
     def __init__(self, cfg: OrbitConfig):
         self.cfg = cfg
         self.K = KERNELS[cfg.precision]
-        d_blocks = cfg.blocks
-        self.compiled: list[list[tuple[int, _CompiledGenerator]]] = [[] for _ in d_blocks]
-        for gi, entries in enumerate(cfg.generators):
-            block = gi if len(d_blocks) > 1 else 0
-            self.compiled[block].append(
-                (gi, _CompiledGenerator(block, entries, d_blocks[block])))
         # the dd kernel evaluates exponents by Taylor windows; double keeps np.power
         self.taylor = ([AnchoredTaylor(f) for f in cfg.functions] if self.K is DD
                        else None)
-        # base point split into block-local entry dicts; the horizontal
-        # coordinates are the first d - 1 (superdiagonal) ones of each block
-        self.base: list[dict] = []
+        # the horizontal coordinates are the first d - 1 (superdiagonal) ones of each block
+        self.blocks: list[_Block] = []
         self.horiz_cols: list[int] = []
         pos = 0
-        for b in d_blocks:
+        for bi, b in enumerate(cfg.blocks):
             m = b * (b - 1) // 2
-            block_entries = cfg.base_point[pos:pos + m]
+            base = {k: v for k, v in zip(nilpotent.coordinate_order(b),
+                                         cfg.base_point[pos:pos + m]) if float(v) != 0.0}
+            gens = [(gi, g) for gi, g in enumerate(cfg.generators)
+                    if len(cfg.blocks) == 1 or gi == bi]
+            self.blocks.append(_Block(self.K, b, gens, base))
             self.horiz_cols.extend(range(pos, pos + b - 1))
             pos += m
-            self.base.append({k: v for k, v in zip(nilpotent.coordinate_order(b),
-                                                   block_entries) if float(v) != 0.0})
 
     # -- per-chunk computation ----------------------------------------------
 
@@ -271,6 +304,7 @@ class OrbitEngine:
         K = self.K
         floor = self.cfg.floor_mode is FloorMode.FLOOR
         out = []
+        layouts = {}  # window layouts of ns, shared by functions with the same anchor bits
         for gi, f in enumerate(self.cfg.functions):
             if floor and is_rational_polynomial(f):  # exact integer floors
                 out.append(K.from_int_array(floor_rational_polynomial(f, ns)))
@@ -278,7 +312,7 @@ class OrbitEngine:
                 s = _ensure_shape(K, evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
                 out.append(K.floor(s) if floor else s)
             else:
-                s, bound = self.taylor[gi].evaluate(ns)
+                s, bound = self.taylor[gi].evaluate(ns, layouts, with_bound=floor)
                 if floor:
                     s, frac = K.floor_frac(s)
                     frac = K.to_float(frac)
@@ -287,15 +321,9 @@ class OrbitEngine:
                 out.append(s)
         return out
 
-    def _generator_matrix(self, comp: _CompiledGenerator, s):
-        K = self.K
-        out = {}
-        for (r, c), coeffs in comp.poly.items():
-            acc = _const(K, coeffs[-1])
-            for cj in reversed(coeffs[:-1]):
-                acc = K.add(K.mul(acc, s), _const(K, cj))
-            out[(r, c)] = K.mul(acc, s)
-        return out
+    def _generator_matrix(self, keys, polys, s):
+        """Entries of b^s X: the entry polynomials at the exponents s."""
+        return dict(zip(keys, self.K.polyval(polys, s)))
 
     def _block_product(self, mats: list[dict], d: int):
         K = self.K
@@ -323,27 +351,43 @@ class OrbitEngine:
             acc = nxt
         return acc if acc is not None else {}
 
-    def _reduce_block(self, E: dict, d: int):
-        """In-place lattice reduction; returns entries with values in [0, 1).
+    def _reduce_block(self, E: dict, steps: list, out: np.ndarray):
+        """Lattice reduction of one block's entries E, in place; writes the
+        reduced coordinates, floats in [0, 1), into the columns of ``out``.
 
-        Entries absent from E are zero and stay absent.
+        Where a fractional part rounds to 1, the coordinate is 0 and the
+        floor one more, before the column updates use it, so that the
+        dependent entries stay consistent with it.
         """
         K = self.K
-        for (i, j) in nilpotent.coordinate_order(d):
-            entry = E.get((i, j))
-            if entry is None:
+        for col, step in enumerate(steps):
+            x = None if step is None else E.get(step[0])
+            if x is None:
+                out[:, col] = 0.0
                 continue
-            m, E[(i, j)] = K.floor_frac(entry)
-            neg_m = None
-            for r in range(i):
-                col_i = E.get((r, i))
-                if col_i is not None:
-                    if neg_m is None:
-                        neg_m = K.neg(m)
-                    prev = E.get((r, j))
-                    upd = K.mul(neg_m, col_i)
-                    E[(r, j)] = upd if prev is None else K.add(prev, upd)
-        return E
+            (i, j), rows, is_column = step
+            if rows or is_column:
+                m, frac = K.floor_frac(x)
+                f = K.to_float(frac)
+            else:  # a leaf: only the float of its fractional part
+                f = K.frac_float(x)
+            carry = f >= 1.0
+            if carry.any():
+                f = np.where(carry, 0.0, f)
+                if rows or is_column:
+                    one = K.from_float(carry.astype(np.float64))
+                    m, frac = K.add(m, one), K.sub(frac, one)
+            out[:, col] = f
+            if is_column:
+                E[(i, j)] = frac
+            if rows:
+                neg_m = K.neg(m)
+                for r in rows:
+                    column = E.get((r, i))
+                    if column is not None:
+                        prev = E.get((r, j))
+                        upd = K.mul(neg_m, column)
+                        E[(r, j)] = upd if prev is None else K.add(prev, upd)
 
     def samples(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz)."""
@@ -368,17 +412,13 @@ class OrbitEngine:
 
     def _coordinates(self, expo, out):
         """Write the reduced coordinates of one block of exponents into ``out``."""
-        K = self.K
         col = 0
-        for bi, d in enumerate(self.cfg.blocks):
-            mats = [self._generator_matrix(comp, expo[gi]) for gi, comp in self.compiled[bi]]
-            if self.base[bi]:
-                mats.append({k: _const(K, v) for k, v in self.base[bi].items()})
-            E = self._reduce_block(self._block_product(mats, d), d)
-            for key in nilpotent.coordinate_order(d):
-                f = K.to_float(E[key]) if key in E else 0.0
-                out[:, col] = np.where(f >= 1.0, 0.0, f)  # the rounded sum of a pair below 1
-                col += 1
+        for blk in self.blocks:
+            mats = [self._generator_matrix(keys, polys, expo[gi]) for gi, keys, polys in blk.gens]
+            E = mats[0] if len(mats) == 1 else self._block_product(mats, blk.d)
+            width = len(blk.steps)
+            self._reduce_block(E, blk.steps, out[:, col:col + width])
+            col += width
 
 
 def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
@@ -517,25 +557,36 @@ def histogram_counts(samples: np.ndarray, grid_res: int) -> np.ndarray:
     """Cell counts of samples in [0,1)^dim on a grid_res^dim grid."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, dim = samples.shape
-    idx = np.clip((samples * grid_res).astype(np.int64), 0, grid_res - 1)
-    flat = np.ravel_multi_index(tuple(idx.T), (grid_res,) * dim)
+    flat = np.zeros(n, dtype=np.int64)  # the C-order cell index, one column at a time
+    for col in range(dim):
+        idx = (samples[:, col] * grid_res).astype(np.int64)
+        np.clip(idx, 0, grid_res - 1, out=idx)
+        flat *= grid_res
+        flat += idx
     return np.bincount(flat, minlength=grid_res ** dim).reshape((grid_res,) * dim)
+
+
+@lru_cache(maxsize=None)
+def _box_volumes(g: int, dim: int) -> np.ndarray:
+    """Lebesgue volumes of the anchored boxes of a g^dim grid."""
+    axis = np.arange(1, g + 1) / g
+    vol = axis if dim == 1 else np.multiply.outer(_box_volumes(g, dim - 1), axis)
+    vol.flags.writeable = False
+    return vol
 
 
 def discrepancy_from_histogram(hist: np.ndarray, total: int) -> float:
     """Max over anchored grid boxes of |empirical mass - Lebesgue volume|."""
     if total <= 0:
         raise PreconditionError("empty sample set")
-    dim = hist.ndim
-    g = hist.shape[0]
     c = hist.astype(np.int64)
-    for ax in range(dim):
-        c = np.cumsum(c, axis=ax)
-    axis = np.arange(1, g + 1) / g
-    vol = axis
-    for _ in range(dim - 1):
-        vol = np.multiply.outer(vol, axis)
-    return float(np.max(np.abs(c / total - vol)))
+    for ax in range(hist.ndim):
+        np.cumsum(c, axis=ax, out=c)
+    d = c / total
+    # the last outer product is not cached: a g^dim array kept between calls
+    # would stay resident while the orbit is sampled and raise the peak memory
+    d -= _box_volumes.__wrapped__(hist.shape[0], hist.ndim)
+    return float(np.max(np.abs(d, out=d)))
 
 
 def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -> float:
@@ -754,16 +805,7 @@ def obstruction_search(cfg: OrbitConfig, window: Optional[WindowPlan], N: int,
     """
     if M_max < 1:
         raise PreconditionError("M_max must be >= 1")
-    snp_parts = []
-    poly_parts = []
-    for f in cfg.functions:
-        poly, rest = decompose(f)
-        g = classify(rest)
-        if rest.is_zero or g.is_subfractional or g.tends_to is LimitKind.ZERO:
-            snp_parts.append(None)
-        else:
-            snp_parts.append(rest)
-        poly_parts.append(poly)
+    poly_parts, snp_parts = zip(*(decompose_nontrivial(f) for f in cfg.functions))
 
     active = [x for x in snp_parts if x is not None]
     if active:

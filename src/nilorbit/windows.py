@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ddmath import (ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, split,
-                     two_prod, two_sum)
+from .ddmath import (ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, comp_horner,
+                     split, two_prod)
 from .hardy import (
     HardyExpr,
     LimitKind,
@@ -320,44 +320,52 @@ def _two_prod_short(a, v):
     product with v's split (v, 0), so v needs no split."""
     x = a * v
     ah, al = split(a)
-    return x, (ah * v - x) + al * v
+    ah *= v
+    ah -= x
+    al *= v
+    ah += al
+    return x, ah
 
 
-def _horner(r, J, v, idx, prod=two_prod):
-    """DD values of sum_j r_j[idx] v^j for DD coefficient arrays r_j = (hi, lo)
-    and 0 <= v < 1, in blocks of BLOCK entries.
+class _Layout:
+    """The windows of a call's indices on the grid of anchor bits s, shared by
+    the functions with that s: per run of consecutive indices with the same
+    anchor m = k 2^p, its k, p and index range; per index, v = (n - m)/2^p."""
 
-    Orders above J run as a float64 Horner scheme on the high words; orders
-    up to J as a compensated Horner scheme: the float64 Horner of the high
-    words computes every product with ``prod`` (an exact TwoProd) and every
-    sum with TwoSum, a second float64 Horner sums those exact errors plus
-    the low words, and a final TwoSum joins the two (not Fast2Sum: where the
-    sum nearly cancels, the error sum can be the larger).  Coefficients are
-    gathered by ``idx`` as they are used, which keeps the working set small.
-    """
-    K = len(r) - 1
+    __slots__ = ("k", "p", "starts", "ends", "v", "prod")
+
+    def __init__(self, ns: np.ndarray, s: int):
+        p = np.frexp(ns.astype(np.float64))[1] - 1 - s  # H = 2^p; exact below 2^53
+        m = (ns >> p) << p
+        self.starts = np.flatnonzero(np.diff(m, prepend=-1))
+        self.ends = np.append(self.starts[1:], len(ns))
+        self.p = p[self.starts]
+        self.k = m[self.starts] >> self.p
+        self.v = np.ldexp((ns - m).astype(np.float64), -p)
+        # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
+        self.prod = two_prod if p.max() > 26 else _two_prod_short
+
+
+def _horner(r, J, layout: _Layout):
+    """DD values of sum_j r_j v^j over the layout's indices, for per-run DD
+    coefficient arrays r_j = (hi, lo), by :func:`ddmath.comp_horner` with
+    orders up to J compensated.  Each block of BLOCK entries repeats the
+    coefficients of its runs to its entries, which gathers none."""
+    v, starts, ends = layout.v, layout.starts, layout.ends
     hi = np.empty(v.shape)
     lo = np.empty(v.shape)
     for b in range(0, len(v), BLOCK):
-        vb, ib = v[b:b + BLOCK], idx[b:b + BLOCK]
-        t = r[K][0][ib]
-        for j in range(K - 1, J, -1):
-            t = t * vb + r[j][0][ib]
-        if J < K:
-            acc, c = two_sum(r[J][0][ib], t * vb)
-            c += r[J][1][ib]
-        else:
-            acc, c = t, r[K][1][ib]
-        for j in range(J - 1, -1, -1):
-            x, pi = prod(acc, vb)
-            acc, sigma = two_sum(x, r[j][0][ib])
-            c = c * vb + ((pi + sigma) + r[j][1][ib])
-        hi[b:b + BLOCK], lo[b:b + BLOCK] = two_sum(acc, c)
+        e = min(b + BLOCK, len(v))
+        a0, a1 = np.searchsorted(starts, b, side="right") - 1, np.searchsorted(starts, e)
+        cnt = np.minimum(ends[a0:a1], e) - np.maximum(starts[a0:a1], b)
+        cb = [(np.repeat(hj[a0:a1], cnt), np.repeat(lj[a0:a1], cnt) if j <= J else None)
+              for j, (hj, lj) in enumerate(r)]
+        hi[b:e], lo[b:e] = comp_horner(cb, J, v[b:e], layout.prod)
     return hi, lo
 
 
 def _horner_bound(mags, J):
-    """Bound on |_horner(r, J, v, idx) - sum_j r_j v^j| over 0 <= v < 1 from
+    """Bound on |comp_horner(r, J, v) - sum_j r_j v^j| over 0 <= v < 1 from
     the magnitudes mags[j] = |hi(r_j)|, j = 0..K.
 
     With S_j = sum_{i>=j} mags[i]: the float tail over orders J+1..K errs by
@@ -385,12 +393,13 @@ class AnchoredTaylor:
     m is n rounded down to a multiple of H, so m = k H with k in
     [2^s, 2^(s+1)), and h = n - m and v = h/H in [0, 1) are exact floats.
     Then f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders
-    up to J run as a compensated Horner scheme (Graillat, Langlois and
-    Louvet, "Algorithms for accurate, validated and fast polynomial
-    evaluation", 2009), about half the flops of a DD Horner at the same
-    accuracy, and the small orders J+1..K as a float64 one (:func:`_horner`).
-    v has at most e - s significant bits, so for e - s <= 26 its Dekker
-    split is v itself and each TwoProd splits only the running sum.  Each
+    up to J run as a compensated Horner scheme (:func:`ddmath.comp_horner`,
+    after Graillat, Langlois and Louvet 2009), about half the flops of a DD
+    Horner at the same accuracy, and the small orders J+1..K as a float64
+    one (:func:`_horner`).  v has at most e - s significant bits, so for
+    e - s <= 26 its Dekker split is v itself and each TwoProd splits only
+    the running sum.  The layout of a call's indices (anchors, runs, v) is
+    computed once per s and shared by the functions with that s.  Each
     r_j is computed once per anchor, vectorized over a call's anchors, from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
@@ -468,18 +477,25 @@ class AnchoredTaylor:
                 break
         return plan
 
-    def evaluate(self, ns: np.ndarray):
-        """(DD value pair, absolute error bound) of f at the int64 indices ns."""
+    def evaluate(self, ns: np.ndarray, layouts: Optional[dict] = None, with_bound: bool = True):
+        """(DD value pair, absolute error bound) of f at the int64 indices ns.
+
+        ``layouts`` keeps the window layout of ns by s for the other functions
+        of a call.  Without ``with_bound`` the bound may be None.
+        """
         ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and ns.min() >= (self.n_start or _TAYLOR_END) and ns.max() < _TAYLOR_END:
+            layouts = {} if layouts is None else layouts
+            if self.s not in layouts:
+                layouts[self.s] = _Layout(ns, self.s)
+            return self._taylor(layouts[self.s], with_bound)
         direct = (ns < (self.n_start or _TAYLOR_END)) | (ns >= _TAYLOR_END)
-        if not direct.any():
-            return self._taylor(ns)
         hi = np.empty(ns.shape)
         lo = np.empty(ns.shape)
         bound = np.empty(ns.shape)
         if not direct.all():
             tay = np.flatnonzero(~direct)
-            (hi[tay], lo[tay]), bound[tay] = self._taylor(ns[tay])
+            (hi[tay], lo[tay]), bound[tay] = self._taylor(_Layout(ns[tay], self.s), True)
         nd = ns[direct]
         v = evaluate_kernel(self.f, DD, DD.from_int_array(nd))
         hi[direct] = np.broadcast_to(v[0], nd.shape)
@@ -487,23 +503,10 @@ class AnchoredTaylor:
         bound[direct] = dd_error_bound(self.f, nd.astype(np.float64))
         return (hi, lo), bound
 
-    def _taylor(self, ns):
-        s, K, J = self.s, self.K, self.J
-        p = np.frexp(ns.astype(np.float64))[1] - 1 - s  # H = 2^p; exact below 2^53
-        m = (ns >> p) << p
-        if np.all(m[1:] >= m[:-1]):
-            new = np.empty(m.shape, dtype=bool)
-            new[:1] = True
-            np.not_equal(m[1:], m[:-1], out=new[1:])
-            anchors, inv = m[new], np.cumsum(new) - 1
-        else:
-            anchors, inv = np.unique(m, return_inverse=True)
-        pa = np.frexp(anchors.astype(np.float64))[1] - 1 - s
-        r, bound = self._coefficients(anchors >> pa, pa)
-        v = np.ldexp((ns - m).astype(np.float64), -p)
-        # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
-        prod = two_prod if p.max() > 26 else _two_prod_short
-        return _horner(r[:K + 1], J, v, inv, prod), bound[inv]
+    def _taylor(self, layout: _Layout, with_bound: bool):
+        r, bound = self._coefficients(layout.k, layout.p)
+        value = _horner(r[:self.K + 1], self.J, layout)
+        return value, np.repeat(bound, layout.ends - layout.starts) if with_bound else None
 
     def _load_tables(self):
         with self._lock:

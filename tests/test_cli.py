@@ -199,6 +199,28 @@ class TestExitCodes:
             "group": {"dim": 2}, "generators": [["phi"]], "functions": ["t"]}))
         assert cli.main(["weyl", str(p), "--N", "10"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["obstruction", "--N", "1000", "--workers", "2"],
+                                      ["orbit", "--N", "10", "--emit-plot"]])
+    def test_options_that_did_nothing_are_gone(self, torus_config, tmp_path, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main([argv[0], torus_config, *argv[1:], "--out", str(tmp_path / "x.csv")])
+        assert e.value.code == cli.EXIT_CONFIG
+
+
+def test_orbit_dump_matches_per_cell_formatter(tmp_path):
+    """The chunk text built from tolist() equals formatting each cell on its own."""
+    config = str(INSTANCES / "heisenberg_pair.json")
+    out = tmp_path / "orbit.csv"
+    assert cli.main(["orbit", config, "--N", "2e4", "--out", str(out)]) == 0
+    cfg = cli.build_orbit_config(cli.load_config(config))
+    lines = [",".join(["n"] + [f"coord_{i + 1}" for i in range(cfg.coords_dim)]
+                      + [f"horiz_{i + 1}" for i in range(cfg.horiz_dim)])]
+    for ns, coords, horiz in O.iter_sample_chunks(cfg, 1, 20000):
+        for i in range(len(ns)):
+            lines.append(",".join([str(int(ns[i]))] + [repr(float(x)) for x in coords[i]]
+                                  + [repr(float(x)) for x in horiz[i]]))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
 
 def test_traced_benchmark_names_resolve():
     """Every name the benchmark tracer wraps still exists on the package."""

@@ -1,0 +1,207 @@
+"""The dd orbit engine against a 400-bit mpmath oracle: the base point folded
+into the entry polynomials, the shared compensated Horner, the reduction
+that computes only what later steps read, and the carry at lattice
+discontinuities.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from mpmath import mp
+
+from nilorbit import cli, hardy as H, nilpotent as NP, orbits as O
+from nilorbit.ddmath import DD, U2, two_sum
+
+ROOT = Path(__file__).resolve().parent.parent
+PREC = 400
+TOL = 1e-9  # circular coordinate error mod 1
+MP_CONSTANTS = {
+    "sqrt2": lambda: mp.sqrt(2), "sqrt3": lambda: mp.sqrt(3), "sqrt5": lambda: mp.sqrt(5),
+    "phi": lambda: (1 + mp.sqrt(5)) / 2, "pi": lambda: mp.pi, "e": lambda: mp.e,
+}
+
+
+def _mp_value(v):
+    if isinstance(v, str) and v in MP_CONSTANTS:
+        return MP_CONSTANTS[v]()
+    q = Fraction(str(v))
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _mp_exponent(text: str, n: int):
+    total = mp.mpf(0)
+    for t in H.parse(text).terms:
+        v = _mp_value(t.coeff) * (MP_CONSTANTS[t.const]() if t.const else 1)
+        v *= mp.mpf(n) ** (mp.mpf(t.power.numerator) / t.power.denominator)
+        total += v * mp.log(n) ** t.logpow
+    return total
+
+
+def _mp_unipotent(entries, d):
+    g = mp.eye(d)
+    for (i, j), v in zip(NP.coordinate_order(d), entries):
+        g[i, j] = _mp_value(v)
+    return g
+
+
+def _mp_power(entries, d, a):
+    """b^a = exp(a log b) by the finite series of a unipotent matrix."""
+    u = _mp_unipotent(entries, d) - mp.eye(d)
+    log, power = mp.zeros(d, d), mp.eye(d)
+    for k in range(1, d):
+        power = power * u
+        log += power * (mp.mpf((-1) ** (k + 1)) / k)
+    out, power = mp.eye(d), mp.eye(d)
+    for k in range(1, d):
+        power = power * log * (a / k)
+        out += power
+    return out
+
+
+def _mp_reduce(g, d):
+    """Coordinates of g mod the integer lattice, cleared in coordinate order.
+    An entry within 2^-300 of an integer is that integer: such entries are
+    exact integers that 400-bit rounding may leave just below."""
+    for i, j in NP.coordinate_order(d):
+        m = mp.floor(g[i, j])
+        if g[i, j] - m > 1 - mp.mpf(2) ** -300:
+            m += 1
+        for r in range(i + 1):
+            g[r, j] -= m * g[r, i]
+    return [g[i, j] for i, j in NP.coordinate_order(d)]
+
+
+def oracle_coords(doc: dict, n: int) -> list[float]:
+    """Reduced coordinates of b_1^(a_1(n)) ... b_k^(a_k(n)) x, factor-major."""
+    dim = doc["group"]["dim"]
+    blocks = doc["group"].get("blocks", [dim])
+    base = doc.get("base_point", [0] * sum(b * (b - 1) // 2 for b in blocks))
+    floor = doc.get("floor_mode") == "floor"
+    out, pos = [], 0
+    with mp.workprec(PREC):
+        for bi, d in enumerate(blocks):
+            m = d * (d - 1) // 2
+            gens = range(len(doc["generators"])) if len(blocks) == 1 else [bi]
+            g = mp.eye(d)
+            for gi in gens:
+                a = _mp_exponent(doc["functions"][gi], n)
+                g = g * _mp_power(doc["generators"][gi], d, mp.floor(a) if floor else a)
+            g = g * _mp_unipotent(base[pos:pos + m], d)
+            out.extend(float(c) for c in _mp_reduce(g, d))
+            pos += m
+    return out
+
+
+def _circular(a, b) -> float:
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return float(np.minimum(d, 1.0 - d).max())
+
+
+def _check_rows(doc: dict, n0: int, n1: int, indices) -> float:
+    """Worst oracle error over ``indices`` of the engine chunk [n0, n1]."""
+    ns, coords, horiz = O.OrbitEngine(cli.build_orbit_config(doc)).samples(n0, n1)
+    worst = 0.0
+    for n in indices:
+        row = coords[n - n0]
+        assert ((0.0 <= row) & (row < 1.0)).all(), (n, row)
+        err = _circular(row, oracle_coords(doc, n))
+        assert err <= TOL, (n, err, row.tolist())
+        worst = max(worst, err)
+    return worst
+
+
+def _doc(dim, generators, functions, base, **extra):
+    return {"group": {"dim": dim}, "generators": generators, "functions": functions,
+            "base_point": base, **extra}
+
+
+def test_entry_polynomials_on_a_dd_variable():
+    """polyval's compensated Horner over a DD s (its low word in the error
+    sum, zero coefficients skipped) against exact rational arithmetic."""
+    rng = np.random.default_rng(5)
+    s = two_sum(rng.uniform(-2e9, 2e9, 3000), rng.uniform(-1, 1, 3000) * 1e-7)
+    s[0][:50] = rng.uniform(-3, 3, 50)  # small s: no term dominates
+    s = two_sum(*s)
+    polys = [[(0.3, 1e-17), (-1.7, 2.5e-17), (0.8, -3e-17)], [None, (2.0, 0.0), (-0.125, 0.0)],
+             [(0.7, 1e-17), None, None, (1.0 / 3, 1.0 / 3 * 2.0 ** -54)]]
+    for coeffs, (hi, lo) in zip(polys, DD.polyval(polys, s)):
+        for i in range(0, 3000, 7):
+            x = Fraction(float(s[0][i])) + Fraction(float(s[1][i]))
+            terms = [(Fraction(c[0]) + Fraction(c[1])) * x ** j
+                     for j, c in enumerate(coeffs) if c is not None]
+            err = abs(Fraction(float(hi[i])) + Fraction(float(lo[i])) - sum(terms))
+            assert err <= 32 * U2 * float(sum(abs(t) for t in terms)), (i, float(err))
+
+
+HEIS_PAIR = json.loads((ROOT / "instances" / "heisenberg_pair.json").read_text())
+CHUNK15 = 1 + 15 * O.CHUNK  # the chunk that holds n = 1e6
+
+
+def test_carry_at_lattice_discontinuities():
+    """n = 2k^2 makes sqrt2 n^(3/2) = 4k^3 an integer: where the dd entry lands
+    just below it, its float fractional part rounds to 1, and the dependent
+    coordinate must use the floor one higher (the parent engine was off by
+    the column entry at 33 of these 91 rows)."""
+    ns = [2 * k * k for k in range(10, 101)]
+    ns_all, coords, _ = O.OrbitEngine(cli.build_orbit_config(HEIS_PAIR)).samples(1, max(ns))
+    for n in ns:
+        assert _circular(coords[n - 1], oracle_coords(HEIS_PAIR, n)) <= TOL, n
+    assert coords[287].tolist()[2] == pytest.approx(0.941, abs=1e-3)  # n = 288
+
+
+def test_heisenberg_irrational_entries_with_base_point_near_1e6():
+    doc = _doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"])
+    rng = np.random.default_rng(1)
+    picks = sorted(CHUNK15 + int(i) for i in rng.choice(O.CHUNK, 40, replace=False))
+    assert _check_rows(doc, CHUNK15, CHUNK15 + O.CHUNK - 1, picks) > 0.0
+
+
+def test_4x4_block_with_base_point():
+    """In 4x4 blocks (0,2) is a column of (2,3)'s update before (0,2) itself
+    is reduced, so that column entry is a full-size DD value."""
+    doc = _doc(4, [["phi", "sqrt2", "e", "1/3", "pi", "sqrt5"]], ["t^{5/4}"],
+               ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"])
+    order = NP.coordinate_order(4)
+    (blk,) = O.OrbitEngine(cli.build_orbit_config(doc)).blocks
+    assert order.index((2, 3)) < order.index((0, 2)) and 0 in blk.steps[order.index((2, 3))][1]
+    n0 = 1 + 2 * O.CHUNK
+    _check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1637))
+
+
+def test_commuting_generators_fold_base_into_last():
+    doc = _doc(3, [["phi", 0, "sqrt2"], ["sqrt3", 0, "1/3"]], ["t^{3/2}", "t*log(t)"],
+               ["1/3", "2/5", "3/7"])
+    engine = O.OrbitEngine(cli.build_orbit_config(doc))
+    (blk,) = engine.blocks
+    assert len(blk.gens) == 2 and (1, 2) in blk.gens[1][1] and (1, 2) not in blk.gens[0][1]
+    n0 = 1 + O.CHUNK
+    _check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1999))
+
+
+def test_double_kernel_same_reduction_path():
+    doc = _doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"],
+               precision="double")
+    cfg = cli.build_orbit_config(doc)
+    engine = O.OrbitEngine(cfg)
+    assert engine.K is O.KERNELS["double"]
+    ns, coords, _ = engine.samples(1, 2000)
+    assert ((0.0 <= coords) & (coords < 1.0)).all()
+    for n in range(1, 2001, 37):
+        assert _circular(coords[n - 1], oracle_coords(doc, n)) <= 1e-5, n
+
+
+def test_single_index_equals_chunk_row_on_seeded_config():
+    doc = dict(HEIS_PAIR, generators=[["-1.4142135623730950488016887242096980785696718753769",
+                                       "pi", 0], ["sqrt5", "2", "e"]],
+               base_point=["1/3", "3/4", "2/9", "5/7", "1/2", "4/9"])
+    engine = O.OrbitEngine(cli.build_orbit_config(doc))
+    _, coords, horiz = engine.samples(CHUNK15, CHUNK15 + O.CHUNK - 1)
+    for n in (CHUNK15, CHUNK15 + 1, CHUNK15 + 12345, 10 ** 6, CHUNK15 + O.CHUNK - 1):
+        _, c1, h1 = engine.samples(n, n)
+        assert c1[0].tobytes() == coords[n - CHUNK15].tobytes()
+        assert h1[0].tobytes() == horiz[n - CHUNK15].tobytes()

@@ -191,6 +191,30 @@ class TestDiscrepancy:
         chunked = O.box_discrepancy([xs[:300], xs[300:]], 8)
         assert whole == chunked
 
+    @pytest.mark.parametrize("dim, g", [(1, 16), (3, 8), (6, 8)])
+    def test_statistic_layer_equals_reference_formulas(self, dim, g):
+        """Column-at-a-time cell indices and the in-place box sums give the
+        bits of ravel_multi_index and of fresh cumsums over outer volumes."""
+        rng = np.random.default_rng(dim)
+        xs = rng.random((5000, dim))
+        xs[::97] = 1.0 - 1e-17  # rounds to 1 under the grid scaling: the clip
+        xs[1::89] = 0.0
+        idx = np.clip((xs * g).astype(np.int64), 0, g - 1)
+        want = np.bincount(np.ravel_multi_index(tuple(idx.T), (g,) * dim),
+                           minlength=g ** dim).reshape((g,) * dim)
+        hist = O.histogram_counts(xs, g)
+        assert hist.dtype == want.dtype and (hist == want).all()
+        for total in (5000, 7919):
+            c = hist.astype(np.int64)
+            for ax in range(dim):
+                c = np.cumsum(c, axis=ax)
+            axis = np.arange(1, g + 1) / g
+            vol = axis
+            for _ in range(dim - 1):
+                vol = np.multiply.outer(vol, axis)
+            ref = float(np.max(np.abs(c / total - vol)))
+            assert O.discrepancy_from_histogram(hist, total) == ref
+
 
 class TestBinomialBasis:
     def test_square(self):
