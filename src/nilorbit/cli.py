@@ -18,8 +18,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
-
 from . import averages as avg
 from . import hardy, orbits, windows
 from .hardy import HardyParseError, PreconditionError, UnrepresentableCoefficient
@@ -74,12 +72,50 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once: jsonschema.validate would re-check the schema itself on every call
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's types: a bool is no number, and an integral float is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        return name == "number" or isinstance(x, int) or x.is_integer()
+    return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[name])
+
+
+def _schema_error(x, schema: dict, path: str = "$"):
+    """The first violation of a JSON Schema by the JSON value x, as a message
+    naming its JSON path, or None.  Interprets exactly the keywords that
+    CONFIG_SCHEMA uses."""
+    types = schema.get("type")
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(x, name) for name in types):
+        return f"{path}: {x!r} is not of type {' or '.join(map(repr, types))}"
+    if "enum" in schema and x not in schema["enum"]:
+        return f"{path}: {x!r} is not one of {schema['enum']!r}"
+    if "const" in schema and x != schema["const"]:
+        return f"{path}: {schema['const']!r} was expected, got {x!r}"
+    if "anyOf" in schema and all(_schema_error(x, s, path) for s in schema["anyOf"]):
+        return f"{path}: {x!r} is not valid under any of the given schemas"
+    if "minimum" in schema and _is_type(x, "number") and x < schema["minimum"]:
+        return f"{path}: {x!r} is less than the minimum of {schema['minimum']}"
+    children = []
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                return f"{path}: {key!r} is a required property"
+        props = schema.get("properties", {})
+        for key, value in x.items():
+            if key in props:
+                children.append((value, props[key], f"{path}.{key}"))
+            elif schema.get("additionalProperties") is False:
+                return f"{path}: unexpected property {key!r}"
+    if isinstance(x, list) and "items" in schema:
+        children += [(value, schema["items"], f"{path}[{i}]") for i, value in enumerate(x)]
+    return next(filter(None, (_schema_error(*child) for child in children)), None)
 
 
 def parse_grid(spec) -> tuple[int, ...]:
@@ -113,9 +149,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
+    error = _schema_error(doc, CONFIG_SCHEMA)
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        raise ConfigError(f"config schema violation: {error}")
     return doc
 
 
@@ -226,12 +262,22 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         Path(path).write_text(text)
 
 
+LONG_HEADER = ["N", "statistic", "value"]
+
+
 def emit_plot_files(out: str, header: list[str], rows: list[list]) -> None:
-    """Two-column `x y` files per statistic, x = first column."""
+    """One two-column `x y` file per series, x = the first column.  Rows in
+    the long layout (LONG_HEADER) form one series per statistic, other rows
+    one per further column, empty cells left out."""
+    long = header == LONG_HEADER
+    series: dict[str, list[str]] = {} if long else {name: [] for name in header[1:]}
+    for r in rows:
+        for name, y in [r[1:]] if long else zip(header[1:], r[1:]):
+            if y != "":
+                series.setdefault(name, []).append(f"{_fmt(r[0])} {_fmt(y)}")
     stem = Path(out).with_suffix("")
-    for col in range(1, len(header)):
-        lines = [f"{_fmt(r[0])} {_fmt(r[col])}" for r in rows if r[col] != ""]
-        Path(f"{stem}.{header[col]}.xy").write_text("\n".join(lines) + "\n")
+    for name, lines in series.items():
+        Path(f"{stem}.{name}.xy").write_text("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +381,7 @@ def cmd_weyl(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     freqs = _frequencies(args, doc, cfg)
-    header = ["N", "statistic", "value"]
+    header = LONG_HEADER
     rows = []
     for m in freqs:
         label = "k" + "_".join(str(x) for x in m)
@@ -346,31 +392,21 @@ def cmd_weyl(args) -> int:
             rows.append([N, f"weyl_abs_{label}", abs(s)])
     write_csv(args.out, header, rows)
     if args.emit_plot and args.out:
-        _plot_by_statistic(args.out, rows)
+        emit_plot_files(args.out, header, rows)
     return EXIT_OK
-
-
-def _plot_by_statistic(out: str, rows: list[list]) -> None:
-    stem = Path(out).with_suffix("")
-    by_stat: dict[str, list] = {}
-    for N, stat, val in rows:
-        by_stat.setdefault(stat, []).append((N, val))
-    for stat, pts in by_stat.items():
-        Path(f"{stem}.{stat}.xy").write_text(
-            "\n".join(f"{n} {_fmt(v)}" for n, v in pts) + "\n")
 
 
 def cmd_discrepancy(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     grid_res = args.grid or (8 if cfg.coords_dim >= 3 else 16)
-    header = ["N", "statistic", "value"]
+    header = LONG_HEADER
     grid = _grid(args, doc)
     values = orbits.discrepancy_series(cfg, grid, grid_res, args.workers)
     rows = [[N, f"box_discrepancy_g{grid_res}", d] for N, d in zip(grid, values)]
     write_csv(args.out, header, rows)
     if args.emit_plot and args.out:
-        _plot_by_statistic(args.out, rows)
+        emit_plot_files(args.out, header, rows)
     return EXIT_OK
 
 
@@ -378,7 +414,7 @@ def cmd_obstruction(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     plan = build_window(doc, cfg)
-    header = ["N", "statistic", "value"]
+    header = LONG_HEADER
     rows = []
     for N in _grid(args, doc):
         r = orbits.obstruction_search(cfg, plan, N, args.Mmax)
@@ -387,7 +423,7 @@ def cmd_obstruction(args) -> int:
             rows.append([N, f"argmin_k{j + 1}", kj])
     write_csv(args.out, header, rows)
     if args.emit_plot and args.out:
-        _plot_by_statistic(args.out, rows)
+        emit_plot_files(args.out, header, rows)
     return EXIT_OK
 
 

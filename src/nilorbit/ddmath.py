@@ -462,17 +462,7 @@ def _fraction_pair(f: Fraction):
     return hi, float(f - Fraction(hi))
 
 
-def _ln2_pair():
-    from mpmath import mp
-
-    with mp.workdps(50):
-        v = mp.ln(2)
-        hi = float(v)
-        lo = float(v - mp.mpf(hi))
-    return hi, lo
-
-
-LN2 = _ln2_pair()
+LN2 = (0.6931471805599453, 2.3190468138462996e-17)  # ln 2 rounded to DD
 _LN2F = LN2[0]
 _INV_FACT = [_fraction_pair(Fraction(1, __import__("math").factorial(j))) for j in range(1, 13)]
 # _INV_FACT[j-1] = 1/j!; the expm1 Horner runs highest order first

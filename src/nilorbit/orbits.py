@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -446,6 +445,8 @@ def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, workers: int = 1,
         for a, b in ranges:
             yield engine.samples(a, b)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(lambda r: engine.samples(r[0], r[1]), ranges)
 

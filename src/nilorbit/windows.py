@@ -263,13 +263,6 @@ _TABLE_BITS = 120
 _TAYLOR_END = 2 ** 52  # n, h and v stay exact floats below this
 
 
-def _to_dd(values) -> tuple[np.ndarray, np.ndarray]:
-    """mpmath values rounded to DD arrays (relative error <= u^2)."""
-    hi = np.array([float(v) for v in values])
-    lo = np.array([float(v - h) for v, h in zip(values, hi)])
-    return hi, lo
-
-
 def _ratios_to_dd(ratios) -> tuple[np.ndarray, np.ndarray]:
     """Integer ratios P/Q (Q > 0) rounded to DD arrays: hi = P/Q and lo = the
     exact rest, each correctly rounded (integer true division rounds so)."""
@@ -293,13 +286,32 @@ def _rational_power(x: int, a: Fraction) -> tuple[int, int]:
     return (Q, P) if a < 0 else (P, Q)
 
 
+def _atanh_inv(q: int, one: int) -> int:
+    """atanh(1/q) for an integer q >= 3 in fixed point with unit 1/one, from
+    its series sum 1/((2j+1) q^(2j+1)); each term and the tail fall short by
+    less than one unit."""
+    q2 = q * q
+    t, j, total = one // q, 1, 0
+    while t:
+        total += t // j
+        t //= q2
+        j += 2
+    return total
+
+
 @lru_cache(maxsize=None)
 def _ln_table(s: int):
-    """ln k for k in [2^s, 2^(s+1))."""
-    from mpmath import mp
-
-    with mp.workprec(_TABLE_BITS):
-        return _to_dd([mp.ln(k) for k in range(2 ** s, 2 ** (s + 1))])
+    """ln k for k in [2^s, 2^(s+1)), in fixed point with 40 guard bits beyond
+    _TABLE_BITS: ln 2^s = 2s atanh(1/3), then ln(k+1) = ln k +
+    2 atanh(1/(2k+1)).  The units lost (at most about 2^17 by k = 2^14) stay
+    far below the DD rounding, which each value takes once."""
+    one = 1 << (_TABLE_BITS + 40)
+    x = 2 * s * _atanh_inv(3, one)
+    ln_k = []
+    for k in range(2 ** s, 2 ** (s + 1)):
+        ln_k.append(x)
+        x += 2 * _atanh_inv(2 * k + 1, one)
+    return _ratios_to_dd((v, one) for v in ln_k)
 
 
 @lru_cache(maxsize=None)
@@ -403,9 +415,8 @@ class AnchoredTaylor:
     r_j is computed once per anchor, vectorized over a call's anchors, from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
-    are shared across orders and built from per-k tables (k^a and 2^(r/q) in
-    exact integer arithmetic, ln k from mpmath), so no exp or ln runs per
-    sample.
+    are shared across orders and built from per-k tables in integer
+    arithmetic (k^a, 2^(r/q) and ln k), so no exp or ln runs per sample.
 
     Every anchor gets an error bound over its window: the Lagrange remainder
     |r_(K+1)| (valid once |f^(K+1)| decreases, see

@@ -155,6 +155,23 @@ class TestDrivers:
         lines = xy.read_text().strip().splitlines()
         assert len(lines) == 2 and lines[0].split()[0] == "1000"
 
+    def test_emit_plot_discrepancy(self, tmp_path):
+        out = tmp_path / "disc.csv"
+        rc = cli.main(["discrepancy", str(INSTANCES / "heisenberg_pair.json"),
+                       "--N", "1000,2000", "--grid", "4", "--out", str(out), "--emit-plot"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["box_discrepancy_g4"] * 2
+        xy = tmp_path / "disc.box_discrepancy_g4.xy"
+        assert [p.name for p in tmp_path.glob("disc.*.xy")] == [xy.name]
+        assert xy.read_text() == "".join(f"{N} {v}\n" for N, _, v in rows)
+
+    def test_emit_plot_wide_rows_keep_every_column(self, tmp_path):
+        out = tmp_path / "avg.csv"
+        cli.emit_plot_files(str(out), ["N", "a", "b"], [[10, 0.5, ""], [20, 0.25, ""]])
+        assert (tmp_path / "avg.a.xy").read_text() == "10 0.5\n20 0.25\n"
+        assert (tmp_path / "avg.b.xy").read_text() == "\n"
+
 
 class TestDeterminism:
     def test_weyl_workers_byte_identical(self, torus_config, tmp_path):

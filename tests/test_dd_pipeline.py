@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp
 
 from nilorbit import hardy as H, orbits as O, windows as W
-from nilorbit.ddmath import DD, FP, U2, comp_horner, two_prod, two_sum
+from nilorbit.ddmath import DD, FP, LN2, U2, comp_horner, two_prod, two_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,12 +70,18 @@ def test_floor_frac_exact():
     assert fl_y.tolist() == np.floor(y).tolist() and fr_y.tolist() == (y - np.floor(y)).tolist()
 
 
+def _mp_to_dd(values):
+    """The canonical DD rounding of mpmath values: hi = float(x), lo = float(x - hi)."""
+    hi = np.array([float(v) for v in values])
+    return hi, np.array([float(v - h) for v, h in zip(values, hi)])
+
+
 def _mp_table(s, a):
     """k^a for k in [2^s, 2^(s+1)) from 120-bit mpmath roots, rounded to DD."""
     with mp.workprec(120):
         vals = [mp.root(mp.mpf(k) ** abs(a.numerator), a.denominator)
                 for k in range(2 ** s, 2 ** (s + 1))]
-        return W._to_dd([1 / v for v in vals] if a < 0 else vals)
+        return _mp_to_dd([1 / v for v in vals] if a < 0 else vals)
 
 
 def test_anchor_tables_match_mpmath():
@@ -96,6 +102,21 @@ def test_anchor_tables_match_mpmath():
             for r in range(a.denominator):
                 want = mp.mpf(2) ** (mp.mpf(r) / a.denominator)
                 assert abs(mp.mpf(hi[r]) + mp.mpf(lo[r]) - want) <= U2 * want
+
+
+def test_ln2_is_the_dd_rounding_of_ln2():
+    with mp.workprec(300):
+        want = _mp_to_dd([mp.ln(2)])
+    assert LN2 == (want[0][0], want[1][0])
+
+
+@pytest.mark.parametrize("s", W._ANCHOR_BITS)
+def test_ln_table_is_the_dd_rounding_of_ln_k(s):
+    """Bit for bit, at every anchor width: no double rounding of the low words."""
+    with mp.workprec(300):
+        want = _mp_to_dd([mp.ln(k) for k in range(2 ** s, 2 ** (s + 1))])
+    got = W._ln_table(s)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("K, J", [(9, 4), (4, 4), (6, 0)])
