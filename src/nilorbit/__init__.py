@@ -74,11 +74,9 @@ from .orbits import (
 from .averages import (
     AverageExperiment,
     ConvergenceSeries,
-    Factor,
     convergence_series,
     floor_discrepancy,
     floor_discrepancy_threshold,
-    make_factor,
     multiple_average,
     predicted_limit,
 )

@@ -1,10 +1,14 @@
 """Multiple ergodic averages over product nilmanifolds, and floor diagnostics.
 
-A k-factor experiment is realized as a single block-diagonal product group,
-so the orbit engine that powers single-orbit statistics also evaluates
-(1/N) sum_n  F_1(b_1^(a_1(n)) x_1) ... F_k(b_k^(a_k(n)) x_k).  Test functions
-come from the registered dictionary (known Haar integrals), which makes the
-predicted limit for declared-full closures a product of integrals.
+A k-factor experiment is one block-diagonal product orbit: an
+:class:`AverageExperiment` holds its :class:`~nilorbit.orbits.OrbitConfig`,
+generator i acting in block i, and one test function per block, so the orbit
+engine that powers single-orbit statistics also evaluates
+(1/N) sum_n  F_1(b_1^(a_1(n)) x_1) ... F_k(b_k^(a_k(n)) x_k).  Every average
+runs through :func:`nilorbit.orbits.chunked_mean`, a whole N grid in one pass
+over the orbit.  Test functions come from the registered dictionary (known
+Haar integrals), which makes the predicted limit for declared-full closures a
+product of integrals.
 
 Integer-part handling is exact: floors are computed symbolically/with
 escalating precision, and the floor-correction sequence
@@ -19,110 +23,60 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .ddmath import Double2
 from .hardy import HardyExpr, PreconditionError, check_P2, evaluate, floor_at
-from .orbits import (
-    FloorMode,
-    OrbitConfig,
-    TestFunction,
-    iter_sample_chunks,
-    make_test_function,
-    tree_sum,
-)
+from .orbits import OrbitConfig, TestFunction, chunked_mean, make_test_function
 from .windows import decreasing_abs_threshold
 
 
 @dataclass(frozen=True)
-class Factor:
-    """One factor: a generator acting in its own block with its own test function."""
-
-    block_dim: int
-    generator: tuple[Double2, ...]
-    function: HardyExpr
-    base: tuple[Double2, ...]
-    test: TestFunction
-
-    @property
-    def coords_dim(self) -> int:
-        return self.block_dim * (self.block_dim - 1) // 2
-
-
-@dataclass(frozen=True)
 class AverageExperiment:
-    factors: tuple[Factor, ...]
-    floor_mode: FloorMode
+    """The product orbit ``cfg`` (one generator per block) and the test
+    function ``tests[i]`` of block i, a TestFunction or its dictionary spec
+    (:func:`nilorbit.orbits.make_test_function`); the integrand is their
+    product."""
+
+    cfg: OrbitConfig
+    tests: tuple[TestFunction, ...]
     declared_closure: str  # "full" | "undeclared"
     n_grid: tuple[int, ...]
-    precision: str = "dd"
-    n_cap: int = 10 ** 7
-    allow_beyond_cap: bool = False
 
     def __post_init__(self):
         if self.declared_closure not in ("full", "undeclared"):
             raise ValueError("declared_closure must be 'full' or 'undeclared'")
-        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("N grid must be strictly increasing")
+        if len(self.cfg.generators) != len(self.cfg.blocks):
+            raise ValueError("average experiments pair one generator per block")
+        if len(self.tests) != len(self.cfg.blocks):
+            raise ValueError("need one test function per factor")
+        object.__setattr__(self, "tests", tuple(
+            t if isinstance(t, TestFunction) else make_test_function(t, b * (b - 1) // 2, b - 1)
+            for t, b in zip(self.tests, self.cfg.blocks)))
 
     def orbit_config(self) -> OrbitConfig:
-        base = []
-        for f in self.factors:
-            base.extend(f.base)
-        return OrbitConfig(
-            dim=sum(f.block_dim for f in self.factors),
-            blocks=tuple(f.block_dim for f in self.factors),
-            generators=tuple(f.generator for f in self.factors),
-            functions=tuple(f.function for f in self.factors),
-            base_point=tuple(base),
-            floor_mode=self.floor_mode,
-            precision=self.precision,
-            n_cap=self.n_cap,
-            allow_beyond_cap=self.allow_beyond_cap,
-        )
+        return self.cfg  # the benchmark tracer (perfbench/tracer.py) binds this name
 
     def integrand(self):
-        """Product of the factor test functions on their coordinate slices."""
+        """Product of the block test functions on their coordinate slices."""
         slices = []
         c0 = h0 = 0
-        for f in self.factors:
-            slices.append((slice(c0, c0 + f.coords_dim), slice(h0, h0 + f.block_dim - 1)))
-            c0 += f.coords_dim
-            h0 += f.block_dim - 1
+        for b in self.cfg.blocks:
+            m = b * (b - 1) // 2
+            slices.append((slice(c0, c0 + m), slice(h0, h0 + b - 1)))
+            c0 += m
+            h0 += b - 1
 
         def fn(ns, coords, horiz):
             out = None
-            for f, (cs, hs) in zip(self.factors, slices):
-                v = f.test(coords[:, cs], horiz[:, hs])
+            for test, (cs, hs) in zip(self.tests, slices):
+                v = test(coords[:, cs], horiz[:, hs])
                 out = v if out is None else out * v
             return out
 
         return fn
 
 
-def make_factor(block_dim: int, generator, function: HardyExpr, base=None,
-                test: TestFunction | dict | None = None) -> Factor:
-    """Convenience constructor accepting raw entries and test-function specs."""
-    from .orbits import as_entry
-
-    m = block_dim * (block_dim - 1) // 2
-    gen = tuple(as_entry(v) for v in generator)
-    base = tuple(as_entry(v) for v in (base if base is not None else [0] * m))
-    if test is None:
-        test = {"type": "one"}
-    if isinstance(test, dict):
-        test = make_test_function(test, m, block_dim - 1)
-    return Factor(block_dim, gen, function, base, test)
-
-
 def multiple_average(exp: AverageExperiment, N: int, workers: int = 1) -> complex:
     """(1/N) sum_{n<=N} of the product integrand, deterministic summation."""
-    cfg = exp.orbit_config()
-    integrand = exp.integrand()
-    partials = []
-    for ns, coords, horiz in iter_sample_chunks(cfg, 1, N, workers):
-        partials.append(complex(np.sum(integrand(ns, coords, horiz))))
-    return tree_sum(partials) / N
+    return chunked_mean(exp.cfg, exp.integrand(), 1, (N,), workers)[0]
 
 
 def predicted_limit(exp: AverageExperiment) -> Optional[complex]:
@@ -130,10 +84,10 @@ def predicted_limit(exp: AverageExperiment) -> Optional[complex]:
     if exp.declared_closure != "full":
         return None
     out = 1 + 0j
-    for f in exp.factors:
-        if f.test.integral is None:
+    for test in exp.tests:
+        if test.integral is None:
             return None
-        out *= f.test.integral
+        out *= test.integral
     return out
 
 
@@ -153,40 +107,17 @@ class ConvergenceSeries:
 
 def convergence_series(exp: AverageExperiment, n_grid: Optional[Sequence[int]] = None,
                        workers: int = 1) -> ConvergenceSeries:
-    """Averages along the grid in one pass, reusing prefix sums across rows.
-
-    Chunks are aligned at n = 1 exactly as in :func:`multiple_average`, and a
-    grid point inside a chunk sums a prefix of that chunk's values, so every
-    row is bit-identical to a standalone multiple_average call.
-    """
+    """Averages along the grid (the experiment's by default) in one pass of
+    :func:`nilorbit.orbits.chunked_mean`, so every row is bit-identical to a
+    standalone :func:`multiple_average` call."""
     grid = tuple(n_grid) if n_grid is not None else exp.n_grid
-    if not grid:
-        raise PreconditionError("empty N grid")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise PreconditionError("N grid must be strictly increasing")
-    cfg = exp.orbit_config()
-    integrand = exp.integrand()
+    values = chunked_mean(exp.cfg, exp.integrand(), 1, grid, workers)
     limit = predicted_limit(exp)
-
-    rows: list[SeriesRow] = []
-    partials: list[complex] = []
-    prev: Optional[complex] = None
-    gi = 0
-    for ns, coords, horiz in iter_sample_chunks(cfg, 1, grid[-1], workers):
-        vals = integrand(ns, coords, horiz)
-        a, b = int(ns[0]), int(ns[-1])
-        while gi < len(grid) and grid[gi] <= b:
-            Ng = grid[gi]
-            head = complex(np.sum(vals[: Ng - a + 1]))
-            A = tree_sum(partials + [head]) / Ng
-            rows.append(SeriesRow(
-                Ng, A, limit,
-                abs(A - limit) if limit is not None else None,
-                abs(A - prev) if prev is not None else None))
-            prev = A
-            gi += 1
-        partials.append(complex(np.sum(vals)))
-    return ConvergenceSeries(tuple(rows))
+    return ConvergenceSeries(tuple(
+        SeriesRow(N, A, limit,
+                  abs(A - limit) if limit is not None else None,
+                  abs(A - prev) if prev is not None else None)
+        for N, A, prev in zip(grid, values, [None, *values])))
 
 
 # --------------------------------------------------------------------------

@@ -213,34 +213,15 @@ def build_window(doc: dict, cfg: orbits.OrbitConfig):
 
 def build_experiment(doc: dict) -> avg.AverageExperiment:
     cfg = build_orbit_config(doc)
-    if len(cfg.blocks) == 1 and len(cfg.generators) != 1:
-        raise ConfigError("average experiments pair one generator per block")
-    tests = doc.get("tests")
-    if tests is None:
-        tests = [{"type": "one"}] * len(cfg.generators)
-    if len(tests) != len(cfg.generators):
-        raise ConfigError("need one test function per factor")
-    factors = []
-    pos = 0
-    for i, b in enumerate(cfg.blocks):
-        m = b * (b - 1) // 2
-        factors.append(avg.Factor(
-            block_dim=b,
-            generator=cfg.generators[i],
-            function=cfg.functions[i],
-            base=cfg.base_point[pos:pos + m],
-            test=orbits.make_test_function(tests[i], m, b - 1),
-        ))
-        pos += m
-    return avg.AverageExperiment(
-        factors=tuple(factors),
-        floor_mode=cfg.floor_mode,
-        declared_closure=doc.get("declared_closure", "undeclared"),
-        n_grid=parse_grid(doc.get("N_grid", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])),
-        precision=cfg.precision,
-        n_cap=cfg.n_cap,
-        allow_beyond_cap=cfg.allow_beyond_cap,
-    )
+    try:
+        return avg.AverageExperiment(
+            cfg, tuple(doc.get("tests", [{"type": "one"}] * len(cfg.blocks))),
+            declared_closure=doc.get("declared_closure", "undeclared"),
+            n_grid=parse_grid(doc.get("N_grid", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])))
+    except ValueError as e:
+        if isinstance(e, PreconditionError):
+            raise
+        raise ConfigError(str(e)) from e
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +380,7 @@ def cmd_weyl(args) -> int:
 def cmd_discrepancy(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
-    grid_res = args.grid or (8 if cfg.coords_dim >= 3 else 16)
+    grid_res = args.grid if args.grid is not None else (8 if cfg.coords_dim >= 3 else 16)
     header = LONG_HEADER
     grid = _grid(args, doc)
     values = orbits.discrepancy_series(cfg, grid, grid_res, args.workers)
@@ -430,7 +411,7 @@ def cmd_obstruction(args) -> int:
 def cmd_average(args) -> int:
     doc = load_config(args.config)
     exp = build_experiment(doc)
-    grid = parse_grid(args.grid) if args.grid else exp.n_grid
+    grid = parse_grid(args.grid) if args.grid is not None else exp.n_grid
     series = avg.convergence_series(exp, grid, args.workers)
     header = ["N", "re(A_N)", "im(A_N)", "re(limit)", "im(limit)", "abs_err", "cauchy_inc"]
     rows = []
@@ -446,6 +427,12 @@ def cmd_average(args) -> int:
     if args.emit_plot and args.out:
         emit_plot_files(args.out, header, rows)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -479,7 +466,7 @@ def make_parser() -> argparse.ArgumentParser:
         if "grid" in extra and name == "average":
             s.add_argument("--grid", default=None, help="N grid, e.g. '1e3:1e6:decade'")
         if "workers" in extra:
-            s.add_argument("--workers", type=int, default=1)
+            s.add_argument("--workers", type=_positive_int, default=1)
         if "m" in extra:
             s.add_argument("--m", default=None, help="frequency vector '1,0,0,1'")
         if "Mmax" in extra:

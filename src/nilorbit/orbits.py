@@ -25,9 +25,12 @@ anchored-box discrepancy against Lebesgue measure, smoothness norms of window
 polynomials in the binomial basis, and the character-obstruction search that
 mirrors the quantitative equidistribution test.
 
-Summation discipline: values are accumulated per fixed-size chunk with
-numpy's pairwise sum and chunk partials are merged along a fixed binary
-tree, so results are bit-identical for any worker count.
+Summation discipline: every mean of the samples (Weyl sums, window and
+multiple ergodic averages) runs through :func:`chunked_mean`.  Values are
+summed per fixed-size chunk with numpy's pairwise sum, a grid point inside a
+chunk sums that chunk's prefix, and the partials are merged along a fixed
+binary tree, so a result is bit-identical for any worker count and whether
+its N is computed alone or along a grid.
 """
 
 from __future__ import annotations
@@ -428,14 +431,13 @@ def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
     return OrbitSample(n, coords[0], horiz[0])
 
 
-def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, workers: int = 1,
-                       engine: Optional[OrbitEngine] = None):
+def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, workers: int = 1):
     """Yield (ns, coords, horiz) chunks covering [n0, n1] in order.
 
     Chunks are fixed-size and independent, so any worker count produces the
     same chunks in the same order.
     """
-    engine = engine or OrbitEngine(cfg)
+    engine = OrbitEngine(cfg)
     if n1 > cfg.n_cap and not cfg.allow_beyond_cap:
         raise PrecisionCapError(
             f"n={n1} exceeds the precision cap {cfg.n_cap}; pass allow_beyond_cap "
@@ -465,12 +467,28 @@ def tree_sum(parts: Sequence[complex]) -> complex:
 
 
 def chunked_mean(cfg: OrbitConfig, integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                 n0: int, n1: int, workers: int = 1) -> complex:
-    """Mean of integrand(ns, coords, horiz) over [n0, n1], deterministic order."""
-    partials = []
-    for ns, coords, horiz in iter_sample_chunks(cfg, n0, n1, workers):
-        partials.append(complex(np.sum(integrand(ns, coords, horiz))))
-    return tree_sum(partials) / (n1 - n0 + 1)
+                 n0: int, ends: Sequence[int], workers: int = 1) -> list[complex]:
+    """Means of integrand(ns, coords, horiz) over [n0, N] for each N of the
+    increasing ``ends``, in one pass over the chunks from n0.
+
+    The mean at N tree-sums the whole-chunk partials before N's chunk and the
+    sum of that chunk's prefix up to N, so it is bit-identical to a call with
+    ``ends = (N,)`` and to any worker count.
+    """
+    ends = list(ends)
+    if not ends or ends[0] < n0 or any(a >= b for a, b in zip(ends, ends[1:])):
+        raise PreconditionError(f"N grid must be strictly increasing, with N >= {n0}; got {ends}")
+    means: list[complex] = []
+    partials: list[complex] = []
+    for ns, coords, horiz in iter_sample_chunks(cfg, n0, ends[-1], workers):
+        vals = integrand(ns, coords, horiz)
+        a, b = int(ns[0]), int(ns[-1])
+        while len(means) < len(ends) and ends[len(means)] <= b:
+            N = ends[len(means)]
+            head = complex(np.sum(vals[:N - a + 1]))
+            means.append(tree_sum(partials + [head]) / (N - n0 + 1))
+        partials.append(complex(np.sum(vals)))
+    return means
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +560,7 @@ def weyl_sum(cfg: OrbitConfig, m: Sequence[int], N: int, workers: int = 1) -> co
     m = np.asarray(m, dtype=np.int64)
     if m.shape != (cfg.horiz_dim,):
         raise ValueError(f"frequency vector needs {cfg.horiz_dim} components")
-    return chunked_mean(cfg, lambda ns, coords, horiz: _e(horiz @ m), 1, N, workers)
+    return chunked_mean(cfg, lambda ns, coords, horiz: _e(horiz @ m), 1, (N,), workers)[0]
 
 
 def window_average(cfg: OrbitConfig, test: TestFunction | dict, N: int,
@@ -551,7 +569,7 @@ def window_average(cfg: OrbitConfig, test: TestFunction | dict, N: int,
     if isinstance(test, dict):
         test = make_test_function(test, cfg.coords_dim, cfg.horiz_dim)
     return chunked_mean(cfg, lambda ns, coords, horiz: test(coords, horiz),
-                        N, N + L_at_N, workers)
+                        N, (N + L_at_N,), workers)[0]
 
 
 def histogram_counts(samples: np.ndarray, grid_res: int) -> np.ndarray:
@@ -620,6 +638,8 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
     """
     if grid_res is None:
         grid_res = 8 if cfg.coords_dim >= 3 else 16
+    if grid_res < 2:
+        raise PreconditionError("grid resolution must be >= 2")
     targets = sorted(set(grid))
     if not targets or targets[0] < 1:
         raise PreconditionError("discrepancy needs N >= 1")

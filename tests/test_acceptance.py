@@ -83,7 +83,7 @@ def test_criterion_4_obstruction_growth():
 def test_criterion_5_pointwise_with_dependencies():
     with _Gate("5 dependent-average Cauchy", 300.0):
         exp = cli.build_experiment(load("pointwise_dependent"))
-        fns = [f.function for f in exp.factors]
+        fns = list(exp.cfg.functions)
         assert len(H.maximal_independent_subset(fns)) == 2  # genuinely dependent
         series = A.convergence_series(exp)
         incs = [r.cauchy_increment for r in series.rows if r.cauchy_increment is not None]

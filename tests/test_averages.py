@@ -11,15 +11,24 @@ from nilorbit import averages as A, hardy as H, orbits as O
 from nilorbit.constants import REGISTRY
 
 
+def factor(block_dim, generator, fn, test, base=None):
+    """One block of a product experiment: (dim, generator, function, base, test spec)."""
+    base = base if base is not None else [0] * (block_dim * (block_dim - 1) // 2)
+    return (block_dim, tuple(map(O.as_entry, generator)), H.parse(fn),
+            tuple(map(O.as_entry, base)), test)
+
+
 def torus_factor(alpha, fn, test, base=None):
-    return A.make_factor(2, [alpha], H.parse(fn), base=base, test=test)
+    return factor(2, [alpha], fn, test, base)
 
 
 def exp_of(*factors, floor=False, closure="full", grid=(10 ** 3,)):
-    return A.AverageExperiment(
-        tuple(factors),
-        O.FloorMode.FLOOR if floor else O.FloorMode.REAL,
-        closure, tuple(grid))
+    """The experiment on the block-diagonal product of the factors."""
+    dims, gens, fns, bases, tests = zip(*factors)
+    cfg = O.OrbitConfig(dim=sum(dims), blocks=dims, generators=gens, functions=fns,
+                        base_point=sum(bases, ()),
+                        floor_mode=O.FloorMode.FLOOR if floor else O.FloorMode.REAL)
+    return A.AverageExperiment(cfg, tests, closure, tuple(grid))
 
 
 class TestMultipleAverage:
@@ -30,7 +39,7 @@ class TestMultipleAverage:
 
     def test_single_factor_equals_weyl_sum_bitwise(self):
         e = exp_of(torus_factor("phi", "t", {"type": "horizontal_character", "k": [1]}))
-        cfg = e.orbit_config()
+        cfg = e.cfg
         for N in (999, 10 ** 4, 10 ** 5):
             assert A.multiple_average(e, N) == O.weyl_sum(cfg, [1], N)
 
@@ -51,16 +60,16 @@ class TestMultipleAverage:
 
 class TestFloorMode:
     def test_integer_polynomial_bit_identical(self):
-        f = A.make_factor(3, ["phi", "sqrt2", 0], H.parse("t^2 + 3*t"),
-                          test={"type": "horizontal_character", "k": [1, 1]})
+        f = factor(3, ["phi", "sqrt2", 0], "t^2 + 3*t",
+                   {"type": "horizontal_character", "k": [1, 1]})
         er = exp_of(f)
-        ef = A.AverageExperiment((f,), O.FloorMode.FLOOR, "full", (10 ** 3,))
+        ef = exp_of(f, floor=True)
         assert A.multiple_average(er, 4321) == A.multiple_average(ef, 4321)
 
     def test_floor_changes_non_integer_orbits(self):
         f = torus_factor("phi", "t^{3/2}", {"type": "horizontal_character", "k": [1]})
         er = exp_of(f)
-        ef = A.AverageExperiment((f,), O.FloorMode.FLOOR, "full", (10 ** 3,))
+        ef = exp_of(f, floor=True)
         assert A.multiple_average(er, 2000) != A.multiple_average(ef, 2000)
 
 
@@ -75,8 +84,7 @@ class TestPredictedLimit:
         assert A.predicted_limit(e) == 1 + 0j
 
     def test_bump_product(self):
-        f = A.make_factor(3, ["phi", "sqrt2", 0], H.parse("t^{3/2}"),
-                          test={"type": "bump", "coords": [0, 1, 2]})
+        f = factor(3, ["phi", "sqrt2", 0], "t^{3/2}", {"type": "bump", "coords": [0, 1, 2]})
         e = exp_of(f, f)
         assert A.predicted_limit(e) == complex(F(1, 64))
 
@@ -213,36 +221,33 @@ class TestIndependentPairInstance:
         # two-factor product of nontrivial characters on the shipped pair
         # instance: limit is the product of integrals = 0, and the average
         # is the same quantity as the combined-frequency Weyl sum
-        factors = (
-            A.make_factor(3, ["phi", "sqrt2", 0], H.parse("t^{3/2}"),
-                          test={"type": "horizontal_character", "k": [1, 0]}),
-            A.make_factor(3, ["pi", "e", 0], H.parse("t*log(t)"),
-                          test={"type": "horizontal_character", "k": [0, 1]}),
-        )
-        e = A.AverageExperiment(factors, O.FloorMode.REAL, "full", (10 ** 6,))
+        e = exp_of(
+            factor(3, ["phi", "sqrt2", 0], "t^{3/2}",
+                   {"type": "horizontal_character", "k": [1, 0]}),
+            factor(3, ["pi", "e", 0], "t*log(t)",
+                   {"type": "horizontal_character", "k": [0, 1]}),
+            grid=(10 ** 6,))
         N = 10 ** 6
         a = A.multiple_average(e, N)
         assert A.predicted_limit(e) == 0j
         assert abs(a) <= 0.01  # pilot-scale value 0.00054
         # same quantity through the Weyl path, up to a different rounding
         # order (product of exponentials vs one combined phase)
-        assert abs(a - O.weyl_sum(e.orbit_config(), [1, 0, 0, 1], N)) < 1e-12
+        assert abs(a - O.weyl_sum(e.cfg, [1, 0, 0, 1], N)) < 1e-12
 
 
 class TestDependentInstance:
     def test_small_scale_cauchy(self):
-        factors = (
-            A.make_factor(3, ["phi", "sqrt2", 0], H.parse("t*log(t)"),
-                          test={"type": "horizontal_character", "k": [1, -1]}),
-            A.make_factor(3, ["pi", "e", 0], H.parse("t^{3/2}"),
-                          test={"type": "horizontal_character", "k": [1, -1]}),
-            A.make_factor(3, ["sqrt3", "sqrt5", 0], H.parse("t^{3/2} + t*log(t)"),
-                          test={"type": "horizontal_character", "k": [1, 0]}),
-        )
-        e = A.AverageExperiment(factors, O.FloorMode.FLOOR, "full",
-                                (10 ** 3, 10 ** 4, 10 ** 5))
+        e = exp_of(
+            factor(3, ["phi", "sqrt2", 0], "t*log(t)",
+                   {"type": "horizontal_character", "k": [1, -1]}),
+            factor(3, ["pi", "e", 0], "t^{3/2}",
+                   {"type": "horizontal_character", "k": [1, -1]}),
+            factor(3, ["sqrt3", "sqrt5", 0], "t^{3/2} + t*log(t)",
+                   {"type": "horizontal_character", "k": [1, 0]}),
+            floor=True, grid=(10 ** 3, 10 ** 4, 10 ** 5))
         s = A.convergence_series(e)
         assert abs(s.rows[-1].value) < 0.02
         # the spanning set is dependent; the independent basis has rank 2
-        idx = H.maximal_independent_subset([f.function for f in factors])
+        idx = H.maximal_independent_subset(list(e.cfg.functions))
         assert len(idx) == 2

@@ -216,6 +216,39 @@ class TestExitCodes:
             "group": {"dim": 2}, "generators": [["phi"]], "functions": ["t"]}))
         assert cli.main(["weyl", str(p), "--N", "10"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv,message", [
+        (["weyl", "--N", "0"], "N grid"),
+        (["average", "--grid", "0"], "N grid"),
+        (["average", "--grid", "100,10"], "N grid"),
+        (["discrepancy", "--N", "100", "--grid", "1"], "grid resolution"),
+        (["discrepancy", "--N", "100", "--grid", "0"], "grid resolution"),
+    ])
+    def test_degenerate_grids(self, torus_config, argv, message, capsys):
+        assert cli.main([argv[0], torus_config, *argv[1:]]) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_decreasing_config_grid(self, tmp_path, capsys):
+        p = tmp_path / "decreasing.json"
+        p.write_text(json.dumps({**TORUS, "N_grid": [100, 10]}))
+        assert cli.main(["average", str(p)]) == cli.EXIT_PRECONDITION
+        assert "N grid" in capsys.readouterr().err
+
+    def test_bad_test_spec(self, tmp_path, capsys):
+        p = tmp_path / "bad_test.json"
+        p.write_text(json.dumps({**TORUS, "tests": [{"type": "horizontal_character",
+                                                     "k": [1, 0]}]}))
+        assert cli.main(["average", str(p)]) == cli.EXIT_CONFIG
+        assert "frequencies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["orbit", "weyl", "discrepancy", "average"])
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_must_be_positive(self, torus_config, command, workers, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main([command, torus_config, "--workers", workers])
+        assert e.value.code == cli.EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["obstruction", "--N", "1000", "--workers", "2"],
                                       ["orbit", "--N", "10", "--emit-plot"]])
     def test_options_that_did_nothing_are_gone(self, torus_config, tmp_path, argv):

@@ -161,6 +161,32 @@ class TestWeylSum:
         assert a == b
 
 
+class TestChunkedMean:
+    CFG = heis_cfg("phi", "sqrt2", "t^{3/2}")
+
+    @staticmethod
+    def integrand(ns, coords, horiz):
+        return O._e(horiz @ np.array([1, -2]))
+
+    # ends just before, at and just after the first chunk boundary, and at the second
+    @pytest.mark.parametrize("n0", [1, 1000])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_equals_single_ends_and_plain_mean(self, n0, workers):
+        ends = [n0 - 1 + e for e in (O.CHUNK - 1, O.CHUNK, O.CHUNK + 1, 2 * O.CHUNK)]
+        means = O.chunked_mean(self.CFG, self.integrand, n0, ends, workers)
+        assert means == [O.chunked_mean(self.CFG, self.integrand, n0, (N,), workers)[0]
+                         for N in ends]
+        engine = O.OrbitEngine(self.CFG)
+        for N, mean in zip(ends, means):
+            ref = np.mean(self.integrand(*engine.samples(n0, N)))
+            assert abs(mean - ref) < 1e-12
+
+    @pytest.mark.parametrize("ends", [(), (0, 10), (10, 10), (100, 10)])
+    def test_bad_ends_refused(self, ends):
+        with pytest.raises(H.PreconditionError, match="N grid"):
+            O.chunked_mean(self.CFG, self.integrand, 1, ends)
+
+
 class TestDiscrepancy:
     def test_single_sample(self):
         assert O.box_discrepancy(np.array([[0.0]]), 2) == 0.5
