@@ -319,6 +319,8 @@ def cmd_orbit(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     N = max(_grid(args, doc))
+    if N < 1:
+        raise PreconditionError(f"orbit needs N >= 1, got {N}")
     header = (["n"] + [f"coord_{i + 1}" for i in range(cfg.coords_dim)]
               + [f"horiz_{i + 1}" for i in range(cfg.horiz_dim)])
     sink = open(args.out, "w") if args.out else sys.stdout
@@ -363,11 +365,18 @@ def cmd_weyl(args) -> int:
     cfg = build_orbit_config(doc)
     freqs = _frequencies(args, doc, cfg)
     header = LONG_HEADER
+    grid = _grid(args, doc)
+    ends = sorted(set(grid))
     rows = []
     for m in freqs:
         label = "k" + "_".join(str(x) for x in m)
-        for N in _grid(args, doc):
-            s = orbits.weyl_sum(cfg, m, N, args.workers)
+        # one pass over the orbit for the whole grid; the same bits as weyl_sum at each N
+        chi = orbits.make_test_function({"type": "horizontal_character", "k": m},
+                                        cfg.coords_dim, cfg.horiz_dim)
+        sums = orbits.chunked_mean(cfg, lambda ns, coords, horiz: chi(coords, horiz), 1, ends,
+                                   args.workers)
+        for N in grid:
+            s = sums[ends.index(N)]
             rows.append([N, f"weyl_re_{label}", s.real])
             rows.append([N, f"weyl_im_{label}", s.imag])
             rows.append([N, f"weyl_abs_{label}", abs(s)])

@@ -28,10 +28,11 @@ which is what the lattice reduction of the orbit engine needs.
 
 Error bounds are counted in units of ``U2`` = u^2 = 2^-106: ``ADD_ERR``,
 ``MUL_ERR`` and ``MUL_FLOAT_ERR`` bound the relative error of ``add``,
-``mul`` and ``mul_float``, and ``exp_error``/``ln_error`` model ``exp`` and
-``ln``.  The orbit engine evaluates its exponents by Taylor windows built on
-these bounds (:class:`nilorbit.windows.AnchoredTaylor`); ``exp`` and ``ln``
-are left to direct evaluation at small n and to scalar callers.
+``mul`` and ``mul_float``.  The orbit engine evaluates its dd exponents by
+Taylor windows built on these bounds, at every n
+(:class:`nilorbit.windows.AnchoredTaylor`).  ``exp``, ``ln`` and
+``pow_fraction`` carry no certified bound; they serve scalar callers
+(:func:`nilorbit.hardy.evaluate_dd`).
 """
 
 from __future__ import annotations
@@ -431,27 +432,6 @@ U2 = U * U
 ADD_ERR = 3.0
 MUL_ERR = 7.0
 MUL_FLOAT_ERR = 3.0
-
-
-def exp_error(x):
-    """Relative error bound of ``DD.exp(x)`` in units of u^2.
-
-    The reduction x - k ln2 costs about 3|x| (rounding of ln2 and of k ln2);
-    the expm1 series, its nine squarings and the final 1 + s stay below 40.
-    A model composed from the operation bounds, checked against mpmath in the
-    tests, not a proof.
-    """
-    return 3.0 * np.abs(x) + 40.0
-
-
-def ln_error(lnx):
-    """Absolute error bound of ``DD.ln(x)`` in units of u^2, given ln x.
-
-    The Newton step inherits ``exp_error(-y0)`` plus one mul and two subs,
-    and the final add contributes 3|ln x|; the same kind of model as
-    :func:`exp_error`.
-    """
-    return 6.0 * np.abs(lnx) + 64.0
 
 
 KERNELS = {"dd": DD, "double": FP}

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .constants import REGISTRY, lookup
-from .ddmath import ADD_ERR, DD, FP, MUL_ERR, U2, Double2, exp_error, ln_error
+from .ddmath import DD, FP, Double2
 
 
 class HardyParseError(ValueError):
@@ -800,63 +800,6 @@ def coeff_pair(t: HardyTerm):
     return p
 
 
-def coeff_error(t: HardyTerm) -> float:
-    """Relative error of :func:`coeff_pair` in units of u^2 (0 when exact)."""
-    if t.const is not None:
-        return 2.0 + MUL_ERR  # two roundings and the product
-    hi, lo = DD.from_fraction(t.coeff)
-    return 0.0 if Fraction(float(hi)) + Fraction(float(lo)) == t.coeff else 1.0
-
-
-def _npow_muls(b: int) -> int:
-    """Multiplications binary squaring spends on x^b."""
-    return abs(b).bit_length() + bin(abs(b)).count("1") - 2
-
-
-def dd_error_bound(f: HardyExpr, t: np.ndarray) -> np.ndarray:
-    """Bound on |evaluate_kernel(f, DD, n) - f(n)| at integers n >= 1 (``t`` = n as floats).
-
-    Each term c t^a log(t)^b is charged the error of its coefficient, of
-    t^a (zero for integer powers below 2^53, exp_error of a ln t plus the
-    propagated ln_error for fractional ones), of log(t)^b and of the
-    products joining them; the sum adds ADD_ERR per addition.  Exact
-    evaluations (polynomials with dyadic coefficients whose terms stay below
-    2^53) get bound 0.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    L = np.log(t)
-    dL = ln_error(L)
-    err = np.zeros_like(t)
-    mag_sum = np.zeros_like(t)
-    for term in f.terms:
-        a, b = term.power, term.logpow
-        pw = t ** float(a)
-        if a == 0:
-            rel = np.zeros_like(t)
-        elif a.denominator == 1:
-            rel = np.where(pw < 2.0 ** 53, 0.0, MUL_ERR * _npow_muls(a.numerator))
-            if a < 0:
-                rel = rel + 2 * MUL_ERR + ADD_ERR  # DD.div: two products and a sum
-        else:
-            x = float(a) * L
-            rel = abs(float(a)) * dL + (1.0 + MUL_ERR) * np.abs(x) + exp_error(x)
-        Lb = np.abs(L) ** b
-        lb_err = (b * np.abs(L) ** (b - 1) * dL + MUL_ERR * _npow_muls(b) * Lb) if b else 0.0
-        c = abs(term.coeff_float())
-        mag = c * pw * Lb
-        mul_err = MUL_ERR * (int(a != 0 and b != 0) + int(a != 0 or b != 0))
-        den = term.coeff.denominator
-        if b == 0 and a >= 0 and a.denominator == 1 and term.const is None \
-                and den & (den - 1) == 0:  # integer times a dyadic coefficient
-            mul_err = np.where(abs(term.coeff.numerator) * pw < 2.0 ** 53, 0.0, mul_err)
-        err = err + c * pw * (rel * Lb + lb_err) + (mul_err + coeff_error(term)) * mag
-        mag_sum = mag_sum + mag
-    if len(f.terms) > 1:
-        inexact = (err > 0) | (mag_sum >= 2.0 ** 53)
-        err = err + np.where(inexact, ADD_ERR * (len(f.terms) - 1) * mag_sum, 0.0)
-    return err * U2 * (1 + 2.0 ** -20)
-
-
 def evaluate_kernel(f: HardyExpr, K, t):
     """Evaluate under a numeric kernel; ``t`` is a kernel value (scalar or array).
 
@@ -967,18 +910,19 @@ def is_rational_polynomial(f: HardyExpr) -> bool:
                and t.power >= 0 for t in f.terms)
 
 
-def floor_rational_polynomial(f: HardyExpr, ns: np.ndarray) -> np.ndarray:
-    """Exact floor(f(n)) at integers n >= 1 for a polynomial with rational coefficients.
+def rational_polynomial_numerator(f: HardyExpr, ns: np.ndarray) -> tuple[np.ndarray, int]:
+    """(P, D) with f(n) = P(n)/D exactly at integers n >= 1, for a polynomial
+    with rational coefficients.
 
-    Computes (D f)(n) // D with D the lcm of the coefficient denominators:
-    in int64 when every term provably fits, in Python integers otherwise.
+    D is the lcm of the coefficient denominators and P = (D f)(n), in int64
+    when every term provably fits, in Python integers otherwise.
     """
     D = math.lcm(*(t.coeff.denominator for t in f.terms))
     terms = [(int(t.coeff * D), int(t.power)) for t in f.terms]
     n_max = int(np.max(ns, initial=1))
     fits = sum(abs(c) * n_max ** a for c, a in terms) < 2 ** 63
     x = ns if fits else ns.astype(object)
-    return sum((c * x ** a for c, a in terms), np.zeros(ns.shape, x.dtype)) // D
+    return sum((c * x ** a for c, a in terms), np.zeros(ns.shape, x.dtype)), D
 
 
 def floor_at(f: HardyExpr, n: int, max_prec_bits: int = 4096) -> int:

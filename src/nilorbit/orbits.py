@@ -11,14 +11,15 @@ sample).  A sample evaluates each entry by the compensated Horner scheme of
 :func:`nilorbit.ddmath.comp_horner`, the DD exponent split once per block.
 
 Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
-anchor grid (:class:`nilorbit.windows.AnchoredTaylor`): one set of
-coefficients per window, a compensated Horner sum per sample, and a certified
-error bound per sample, which also decides when a floor needs exact
-evaluation.  An exponent depends on n alone, so every chunking of the index
-range yields the same bits.  The lattice reduction is planned per block at
-build time and computes only what later steps read (a floor, a DD fractional
-part, or just the float coordinate); the coordinates are written straight
-into the sample array.
+anchor grid (:class:`nilorbit.windows.AnchoredTaylor`), for every n in
+[1, 2^52): one set of coefficients per window, a compensated Horner sum per
+sample, and a certified error bound per sample, which also decides when a
+floor needs exact evaluation.  Polynomials with rational coefficients are
+exact under both kernels, from their integer numerators.  An exponent
+depends on n alone, so every chunking of the index range yields the same
+bits.  The lattice reduction is planned per block at build time and computes
+only what later steps read (a floor, a DD fractional part, or just the float
+coordinate); the coordinates are written straight into the sample array.
 
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
@@ -53,10 +54,10 @@ from .hardy import (
     evaluate,
     evaluate_kernel,
     floor_at,
-    floor_rational_polynomial,
     is_rational_polynomial,
+    rational_polynomial_numerator,
 )
-from .windows import AnchoredTaylor, WindowPlan, taylor_window
+from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window
 from . import nilpotent
 
 CHUNK = 1 << 16
@@ -64,7 +65,8 @@ DEFAULT_N_CAP = 10 ** 7
 
 
 class PrecisionCapError(RuntimeError):
-    """Requested range exceeds the documented precision cap."""
+    """Requested range exceeds the documented precision cap, or under dd the
+    exponent range n < 2^52."""
 
 
 class FloorMode(enum.Enum):
@@ -277,9 +279,10 @@ class OrbitEngine:
     def __init__(self, cfg: OrbitConfig):
         self.cfg = cfg
         self.K = KERNELS[cfg.precision]
-        # the dd kernel evaluates exponents by Taylor windows; double keeps np.power
-        self.taylor = ([AnchoredTaylor(f) for f in cfg.functions] if self.K is DD
-                       else None)
+        # the dd kernel evaluates exponents by Taylor windows, except rational
+        # polynomials (exact in integers); double keeps np.power
+        self.taylor = ([None if is_rational_polynomial(f) else AnchoredTaylor(f)
+                        for f in cfg.functions] if self.K is DD else None)
         # the horizontal coordinates are the first d - 1 (superdiagonal) ones of each block
         self.blocks: list[_Block] = []
         self.horiz_cols: list[int] = []
@@ -299,17 +302,24 @@ class OrbitEngine:
     def exponents(self, ns: np.ndarray):
         """a_i(n) for each function, floored in floor mode.
 
-        Floors are exact: polynomials with rational coefficients are floored
-        in integer arithmetic, and under dd a value whose certified error
-        margin reaches an integer is floored by :func:`hardy.floor_at`.
+        Polynomials with rational coefficients are exact: f(n) = P/D in
+        integers, floored as P // D, or else the exact quotient plus the
+        rest r/D rounded to the kernel (an integer value stays exact).  Under
+        dd a value whose certified error margin reaches an integer is floored
+        by :func:`hardy.floor_at`.
         """
         K = self.K
         floor = self.cfg.floor_mode is FloorMode.FLOOR
         out = []
         layouts = {}  # window layouts of ns, shared by functions with the same anchor bits
         for gi, f in enumerate(self.cfg.functions):
-            if floor and is_rational_polynomial(f):  # exact integer floors
-                out.append(K.from_int_array(floor_rational_polynomial(f, ns)))
+            if is_rational_polynomial(f):
+                P, D = rational_polynomial_numerator(f, ns)
+                q, r = P // D, P % D
+                s = K.from_int_array(q)
+                if not floor and r.any():
+                    s = K.add(s, K.div(K.from_int_array(r), K.from_int_array(np.asarray(D))))
+                out.append(s)
             elif self.taylor is None:
                 s = _ensure_shape(K, evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
                 out.append(K.floor(s) if floor else s)
@@ -391,14 +401,21 @@ class OrbitEngine:
                         upd = K.mul(neg_m, column)
                         E[(r, j)] = upd if prev is None else K.add(prev, upd)
 
+    def check_range(self, n1: int) -> None:
+        """Refuse indices up to n1 beyond the precision cap (unless allowed)
+        or, under dd, at or beyond 2^52."""
+        if n1 > self.cfg.n_cap and not self.cfg.allow_beyond_cap:
+            raise PrecisionCapError(
+                f"n={n1} exceeds the precision cap {self.cfg.n_cap}; pass allow_beyond_cap "
+                "to accept growing coordinate error")
+        if self.taylor is not None and n1 >= TAYLOR_END:
+            raise PrecisionCapError(f"n={n1} is beyond the dd exponent range n < 2^52")
+
     def samples(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz)."""
+        self.check_range(n1)
         cap = self.cfg.n_cap
         if n1 > cap:
-            if not self.cfg.allow_beyond_cap:
-                raise PrecisionCapError(
-                    f"n={n1} exceeds the precision cap {cap}; pass allow_beyond_cap "
-                    "to accept growing coordinate error")
             warnings.warn(
                 f"evaluating beyond the precision cap (n={n1} > {cap}); "
                 "coordinate error grows with a(n)^(d-1)", stacklevel=2)
@@ -438,10 +455,7 @@ def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, workers: int = 1):
     same chunks in the same order.
     """
     engine = OrbitEngine(cfg)
-    if n1 > cfg.n_cap and not cfg.allow_beyond_cap:
-        raise PrecisionCapError(
-            f"n={n1} exceeds the precision cap {cfg.n_cap}; pass allow_beyond_cap "
-            "to accept growing coordinate error")
+    engine.check_range(n1)
     ranges = [(a, min(a + CHUNK - 1, n1)) for a in range(n0, n1 + 1, CHUNK)]
     if workers <= 1:
         for a, b in ranges:
@@ -826,6 +840,8 @@ def obstruction_search(cfg: OrbitConfig, window: Optional[WindowPlan], N: int,
     """
     if M_max < 1:
         raise PreconditionError("M_max must be >= 1")
+    if N < 1:
+        raise PreconditionError(f"obstruction search needs N >= 1, got {N}")
     poly_parts, snp_parts = zip(*(decompose_nontrivial(f) for f in cfg.functions))
 
     active = [x for x in snp_parts if x is not None]

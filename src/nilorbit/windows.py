@@ -11,9 +11,10 @@ symbolic derivatives, consecutive classes tile the growth axis up to t, and
 a common window for several functions is found by ascending pure powers t^c
 toward c = 1.
 
-The same expansion evaluates the orbit engine's exponents:
+The same expansion evaluates the orbit engine's dd exponents:
 :class:`AnchoredTaylor` replaces f on short windows of a fixed dyadic grid by
-its Taylor polynomial, with a certified bound on the error at every n.
+its Taylor polynomial, with a certified bound on the error at every n in
+[1, 2^52).
 """
 
 from __future__ import annotations
@@ -31,17 +32,15 @@ from .ddmath import (ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Dou
                      split, two_prod)
 from .hardy import (
     HardyExpr,
+    HardyTerm,
     LimitKind,
     PreconditionError,
     classify,
-    coeff_error,
     coeff_pair,
-    dd_error_bound,
     derivative,
     differentiate,
     evaluate,
     evaluate_dd,
-    evaluate_kernel,
     int_root,
 )
 
@@ -221,27 +220,19 @@ def decreasing_abs_threshold(f: HardyExpr) -> float:
     return max(tf, tdf)
 
 
-def remainder_threshold(f: HardyExpr, k: int) -> float:
-    """Certified t past which |f^(k+1)| is decreasing (1 when it vanishes).
-
-    From there on, the Lagrange remainder of the degree-k expansion of f at
-    N over [N, N + L] is at most |f^(k+1)(N)| L^(k+1) / (k+1)!.
-    """
-    g = derivative(f, k + 1)
-    return 1.0 if g.is_zero else decreasing_abs_threshold(g)
-
-
 def taylor_window(f: HardyExpr, N: int, k: int, L_at_N: float) -> TaylorWindow:
     """Expansion coefficients q_j = f^(j)(N)/j! and a certified remainder bound.
 
-    The bound is the Lagrange remainder of :func:`remainder_threshold`; the
-    operation refuses below the certified threshold instead of guessing.
+    Past the certified t from which |f^(k+1)| decreases, the Lagrange
+    remainder over [N, N + L] is at most |f^(k+1)(N)| L^(k+1) / (k+1)!; the
+    operation refuses below that threshold instead of guessing.
     """
     if k < 1:
         raise PreconditionError("window order must be at least 1")
     coeffs = [evaluate_dd(derivative(f, j), N) * Fraction(1, math.factorial(j))
               for j in range(k + 1)]
-    threshold = remainder_threshold(f, k)
+    g = derivative(f, k + 1)
+    threshold = 1.0 if g.is_zero else decreasing_abs_threshold(g)
     if N < threshold:
         raise PreconditionError(
             f"N={N} below certified monotonicity threshold {threshold:.6g} for |f^({k + 1})|")
@@ -260,7 +251,7 @@ _ANCHOR_BITS = range(6, 14)
 _MAX_ORDER = 30
 _PROBE_OCTAVES = (1, 4, 16)
 _TABLE_BITS = 120
-_TAYLOR_END = 2 ** 52  # n, h and v stay exact floats below this
+TAYLOR_END = 2 ** 52  # n, h and v stay exact floats below this
 
 
 def _ratios_to_dd(ratios) -> tuple[np.ndarray, np.ndarray]:
@@ -320,6 +311,12 @@ def _pow_table(s: int, a: Fraction):
     return _ratios_to_dd(_rational_power(k, a) for k in range(2 ** s, 2 ** (s + 1)))
 
 
+def _octaves(table, s: int, *args):
+    """The per-octave tables table(e, *args), e = 0..s, joined: entry k - 1
+    holds the value at k, for k in [1, 2^(s+1))."""
+    return tuple(np.concatenate(words) for words in zip(*(table(e, *args) for e in range(s + 1))))
+
+
 @lru_cache(maxsize=None)
 def _root2_table(a: Fraction):
     """2^(r/q) for r in [0, q), q the denominator of a."""
@@ -342,12 +339,14 @@ def _two_prod_short(a, v):
 class _Layout:
     """The windows of a call's indices on the grid of anchor bits s, shared by
     the functions with that s: per run of consecutive indices with the same
-    anchor m = k 2^p, its k, p and index range; per index, v = (n - m)/2^p."""
+    anchor m = k 2^p, its k, p and index range; per index, v = (n - m)/2^p.
+    Below 2^(s+1), p = 0: one-point windows with k = n and v = 0."""
 
     __slots__ = ("k", "p", "starts", "ends", "v", "prod")
 
     def __init__(self, ns: np.ndarray, s: int):
-        p = np.frexp(ns.astype(np.float64))[1] - 1 - s  # H = 2^p; exact below 2^53
+        # H = 2^p; exact below 2^53
+        p = np.maximum(np.frexp(ns.astype(np.float64))[1] - 1 - s, 0)
         m = (ns >> p) << p
         self.starts = np.flatnonzero(np.diff(m, prepend=-1))
         self.ends = np.append(self.starts[1:], len(ns))
@@ -355,7 +354,7 @@ class _Layout:
         self.k = m[self.starts] >> self.p
         self.v = np.ldexp((ns - m).astype(np.float64), -p)
         # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
-        self.prod = two_prod if p.max() > 26 else _two_prod_short
+        self.prod = two_prod if p.max(initial=0) > 26 else _two_prod_short
 
 
 def _horner(r, J, layout: _Layout):
@@ -377,8 +376,9 @@ def _horner(r, J, layout: _Layout):
 
 
 def _horner_bound(mags, J):
-    """Bound on |comp_horner(r, J, v) - sum_j r_j v^j| over 0 <= v < 1 from
-    the magnitudes mags[j] = |hi(r_j)|, j = 0..K.
+    """Bound on |comp_horner(r, J, v) - sum_j r_j v^j| over 0 <= v <= v_max
+    from the weighted magnitudes mags[j] = |hi(r_j)| v_max^j, j = 0..K: every
+    error term below is a sum of |r_i| v^i, i >= j, each at most mags[i].
 
     With S_j = sum_{i>=j} mags[i]: the float tail over orders J+1..K errs by
     at most (2(K-J) + 2) u S_(J+1) (its roundings plus the dropped low
@@ -398,85 +398,102 @@ def _horner_bound(mags, J):
     return bound
 
 
-class AnchoredTaylor:
-    """Evaluate f at integers n by Taylor windows on a fixed dyadic anchor grid.
+def _scale_error(t: HardyTerm, j: int) -> float:
+    """Relative error, in units of u^2, of the DD product of the coefficient
+    pair of t (a term of f^(j)/j!) with m^a (ln m)^i: none for a coefficient
+    +-2^e; else the pair's rounding (two roundings and a product for a named
+    constant, one for an inexact rational) and the product's, unless m^a
+    (ln m)^i is exactly 1 (a = i = 0)."""
+    num, den = abs(t.coeff.numerator), t.coeff.denominator
+    if t.const is None and num.bit_count() == 1 == den.bit_count():
+        return 0.0
+    hi, lo = DD.from_fraction(t.coeff)
+    err = 2.0 + MUL_ERR if t.const is not None else float(Fraction(hi) + Fraction(lo) != t.coeff)
+    return err + (0.0 if t.power + j == 0 and t.logpow == 0 else MUL_ERR)
 
-    For n in [2^e, 2^(e+1)) the window length is H = 2^(e-s) and the anchor
-    m is n rounded down to a multiple of H, so m = k H with k in
-    [2^s, 2^(s+1)), and h = n - m and v = h/H in [0, 1) are exact floats.
-    Then f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders
-    up to J run as a compensated Horner scheme (:func:`ddmath.comp_horner`,
-    after Graillat, Langlois and Louvet 2009), about half the flops of a DD
-    Horner at the same accuracy, and the small orders J+1..K as a float64
-    one (:func:`_horner`).  v has at most e - s significant bits, so for
+
+class AnchoredTaylor:
+    """Evaluate f at integers n in [1, 2^52) by Taylor windows on a fixed
+    dyadic anchor grid.
+
+    For n in [2^e, 2^(e+1)) the window length is H = 2^p, p = max(e - s, 0),
+    and the anchor m is n rounded down to a multiple of H, so m = k H with k
+    in [1, 2^(s+1)), and h = n - m and v = h/H in [0, 1) are exact floats.
+    Below 2^(s+1) every window is one point: k = n and v = 0.  Then
+    f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders up to
+    J run as a compensated Horner scheme (:func:`ddmath.comp_horner`, after
+    Graillat, Langlois and Louvet 2009), about half the flops of a DD Horner
+    at the same accuracy, and the small orders J+1..K as a float64 one
+    (:func:`_horner`).  v has at most e - s significant bits, so for
     e - s <= 26 its Dekker split is v itself and each TwoProd splits only
     the running sum.  The layout of a call's indices (anchors, runs, v) is
     computed once per s and shared by the functions with that s.  Each
     r_j is computed once per anchor, vectorized over a call's anchors, from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
-    are shared across orders and built from per-k tables in integer
-    arithmetic (k^a, 2^(r/q) and ln k), so no exp or ln runs per sample.
+    are shared across orders and built from the per-octave tables of k^a,
+    2^(r/q) and ln k, in integer arithmetic, so no exp or ln runs per sample.
 
-    Every anchor gets an error bound over its window: the Lagrange remainder
-    |r_(K+1)| (valid once |f^(K+1)| decreases, see
-    :func:`remainder_threshold`), the propagated rounding of each r_j, and
-    the running-error bound of the Horner schemes (:func:`_horner_bound`).
-    s, K and J are chosen once so that truncation and float tail each stay
-    below 2^-104 max(1, |f|) at probe anchors, which keeps the bound below
-    TARGET_REL max(1, |f|) except where f nearly cancels (then no DD
-    evaluation reaches it, and the bound says so).  Below ``n_start`` f is
-    evaluated directly, with :func:`hardy.dd_error_bound`.  The value at n
-    depends on n alone, never on the other indices of a call.
+    Every anchor gets an error bound over its window: a termwise Lagrange
+    remainder (:meth:`_lagrange`), the propagated rounding of each r_j, and
+    the running-error bound of the Horner schemes (:func:`_horner_bound`),
+    each order-j part weighted by v_max^j for the window's largest
+    v_max = (H - 1)/H, so a one-point window carries only the rounding of
+    r_0.  s, K and J are chosen once so that truncation and float tail each
+    stay below 2^-104 max(1, |f|) at probe anchors, which keeps the bound
+    below TARGET_REL max(1, |f|) except where f nearly cancels (then no DD
+    evaluation reaches it, and the bound says so).  The value at n depends
+    on n alone, never on the other indices of a call.
     """
 
     def __init__(self, f: HardyExpr):
         self.f = f
-        self.n_start = None  # None: direct evaluation everywhere
         self._lock = threading.Lock()
         self._tables = None
-        if all(t.power.denominator == 1 and t.logpow == 0 for t in f.terms):
-            return  # polynomials evaluate exactly or nearly so, and cheaply
         orders = [f]
         for j in range(1, _MAX_ORDER + 2):
             orders.append(differentiate(orders[-1]).scaled(Fraction(1, j)))
-        try:
-            plan = self._plan(orders)
-        except OverflowError:  # probe magnitudes beyond float range: huge powers
-            plan = None
+        plan = self._plan(orders)
         if plan is None:
-            return
+            raise PreconditionError(f"no Taylor window of order <= {_MAX_ORDER} fits {f}")
         self.s, self.K, self.J = plan
-        try:
-            threshold = remainder_threshold(f, self.K)
-        except PreconditionError:
-            return
-        if threshold >= _TAYLOR_END:
-            return
-        self.n_start = 2 ** max(self.s + 1, math.ceil(math.log2(max(threshold, 1.0))))
-        # per order: (a, i, coefficient pair, its error, exactly one) per term
-        self.orders = [[(t.power + j, t.logpow, coeff_pair(t), coeff_error(t),
+        # per order and term: (a, i, coefficient pair, the error of the product
+        # by it, exactly one)
+        self.orders = [[(t.power + j, t.logpow, coeff_pair(t), _scale_error(t, j),
                          t.coeff == 1 and t.const is None) for t in g.terms]
-                       for j, g in enumerate(orders[:self.K + 2])]
+                       for j, g in enumerate(orders[:self.K + 1])]
+        # the terms c t^b log^i(t) of f^(K+1)/(K+1)! as (b, i, ln |c|)
+        self.remainder = [(float(t.power), t.logpow, math.log(abs(t.coeff_float())))
+                          for t in orders[self.K + 1].terms]
         self.powers = sorted({a for terms in self.orders for a, *_ in terms})
         self.max_logpow = max(i for terms in self.orders for _, i, *_ in terms)
 
     @staticmethod
     def _plan(orders) -> Optional[tuple[int, int, int]]:
-        """(s, K, J) from float coefficient ratios at probe anchors."""
+        """(s, K, J) from coefficient ratios at probe anchors, computed in
+        logarithms so that no magnitude overflows."""
         # r_j at m = k 2^p is the sum of c k^(a-j) 2^(p a) (ln m)^i over the
         # terms c t^(a-j) log^i(t) of f^(j)/j!
-        terms = [[(t.coeff_float(), float(t.power), float(t.power + j), t.logpow)
-                  for t in g.terms] for j, g in enumerate(orders)]
+        terms = [[(math.copysign(1.0, t.coeff_float()), math.log(abs(t.coeff_float())),
+                   float(t.power), float(t.power + j), t.logpow) for t in g.terms]
+                 for j, g in enumerate(orders)]
+
+        def log_abs(tj, k, p):  # ln |r_j| at m = k 2^p, -inf for zero
+            lk, lm = math.log(k), math.log(k) + p * math.log(2)
+            logs = [lc + e * lk + p * a * math.log(2) + i * math.log(lm) for _, lc, e, a, i in tj]
+            top = max(logs, default=-math.inf)
+            total = abs(sum(sg * math.exp(x - top) for (sg, *_), x in zip(tj, logs)))
+            return top + math.log(total) if total else -math.inf
+
         plan = None
         for s in _ANCHOR_BITS:
-            rho = np.zeros(len(orders))
+            rho = np.full(len(orders), -math.inf)  # ln of r_j / max(1, |r_0|)
             for k in (2 ** s, 2 ** (s + 1) - 1):
                 for p in _PROBE_OCTAVES:
-                    L = math.log(k) + p * math.log(2)
-                    r = np.array([abs(sum(c * k ** e * 2.0 ** (p * a) * L ** i
-                                          for c, e, a, i in tj)) for tj in terms])
-                    rho = np.maximum(rho, r / max(1.0, r[0]))
+                    r = np.array([log_abs(tj, k, p) for tj in terms])
+                    rho = np.maximum(rho, r - max(0.0, r[0]))
+            with np.errstate(over="ignore"):
+                rho = np.exp(rho)
             small = np.flatnonzero(rho[2:] <= _SHARE)
             if not small.size:
                 continue
@@ -489,55 +506,39 @@ class AnchoredTaylor:
         return plan
 
     def evaluate(self, ns: np.ndarray, layouts: Optional[dict] = None, with_bound: bool = True):
-        """(DD value pair, absolute error bound) of f at the int64 indices ns.
+        """(DD value pair, absolute error bound) of f at the int64 indices ns,
+        each in [1, 2^52).
 
         ``layouts`` keeps the window layout of ns by s for the other functions
         of a call.  Without ``with_bound`` the bound may be None.
         """
-        ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and ns.min() >= (self.n_start or _TAYLOR_END) and ns.max() < _TAYLOR_END:
-            layouts = {} if layouts is None else layouts
-            if self.s not in layouts:
-                layouts[self.s] = _Layout(ns, self.s)
-            return self._taylor(layouts[self.s], with_bound)
-        direct = (ns < (self.n_start or _TAYLOR_END)) | (ns >= _TAYLOR_END)
-        hi = np.empty(ns.shape)
-        lo = np.empty(ns.shape)
-        bound = np.empty(ns.shape)
-        if not direct.all():
-            tay = np.flatnonzero(~direct)
-            (hi[tay], lo[tay]), bound[tay] = self._taylor(_Layout(ns[tay], self.s), True)
-        nd = ns[direct]
-        v = evaluate_kernel(self.f, DD, DD.from_int_array(nd))
-        hi[direct] = np.broadcast_to(v[0], nd.shape)
-        lo[direct] = np.broadcast_to(v[1], nd.shape)
-        bound[direct] = dd_error_bound(self.f, nd.astype(np.float64))
-        return (hi, lo), bound
-
-    def _taylor(self, layout: _Layout, with_bound: bool):
+        layouts = {} if layouts is None else layouts
+        if self.s not in layouts:
+            layouts[self.s] = _Layout(np.asarray(ns, dtype=np.int64), self.s)
+        layout = layouts[self.s]
         r, bound = self._coefficients(layout.k, layout.p)
-        value = _horner(r[:self.K + 1], self.J, layout)
+        value = _horner(r, self.J, layout)
         return value, np.repeat(bound, layout.ends - layout.starts) if with_bound else None
 
     def _load_tables(self):
         with self._lock:
             if self._tables is None:
                 self._tables = (
-                    {a: _pow_table(self.s, a) for a in self.powers},
+                    {a: _octaves(_pow_table, self.s, a) for a in self.powers},
                     {a: _root2_table(a) for a in self.powers if a.denominator > 1},
-                    _pow_table(self.s, Fraction(-1)),
-                    _ln_table(self.s) if self.max_logpow else None)
+                    _octaves(_pow_table, self.s, Fraction(-1)),
+                    _octaves(_ln_table, self.s) if self.max_logpow else None)
         return self._tables
 
     def _coefficients(self, k, p):
-        """Per anchor m = k 2^p: DD r_0..r_(K+1) and the error bound over its window.
+        """Per anchor m = k 2^p: DD r_0..r_K and the error bound over its window.
 
         Errors are tracked in units of u^2: a relative bound per shared
         factor, then an absolute one per order.
         """
         s, K, J = self.s, self.K, self.J
         pows, root2, inv_k, ln_k = self._load_tables()
-        idx = k - 2 ** s
+        idx = k - 1
         M = {}
         for a in self.powers:
             x = (pows[a][0][idx], pows[a][1][idx])
@@ -550,7 +551,7 @@ class AnchoredTaylor:
         Lp = [None]
         if self.max_logpow:
             L = DD.add((ln_k[0][idx], ln_k[1][idx]), DD.mul_float(LN2, p.astype(np.float64)))
-            rel_L = 1.0 + MUL_FLOAT_ERR + ADD_ERR  # both summands are positive
+            rel_L = 1.0 + MUL_FLOAT_ERR + ADD_ERR  # both summands are nonnegative
             Lp.append((L, rel_L))
             for _ in range(2, self.max_logpow + 1):
                 Lp.append((DD.mul(Lp[-1][0], L), Lp[-1][1] + rel_L + MUL_ERR))
@@ -568,7 +569,7 @@ class AnchoredTaylor:
                     rel += Lp[i][1] + MUL_ERR
                 if not unit:
                     x = DD.mul(x, c)
-                    rel += c_err + MUL_ERR
+                    rel += c_err
                 mag = np.abs(x[0])
                 err = err + rel * mag
                 mag_sum = mag_sum + mag
@@ -580,7 +581,35 @@ class AnchoredTaylor:
                 ikj = (DD.mul(ikj[0], ik[0]), ikj[1] + ik[1] + MUL_ERR)
             coeffs.append(acc)
             errs.append(err)
-        mags = np.array([np.abs(c[0]) for c in coeffs])
-        coef = U2 * np.sum(errs[:K + 1], axis=0)
-        lagrange = mags[K + 1] + U2 * errs[K + 1]
-        return coeffs, (1 + 2.0 ** -20) * (lagrange + coef + _horner_bound(mags[:K + 1], J))
+        w = (1.0 - np.ldexp(1.0, -p)) ** np.arange(K + 1)[:, None]  # v_max^j; 0^0 = 1
+        mags = np.array([np.abs(c[0]) for c in coeffs]) * w
+        coef = U2 * np.sum(np.array(errs) * w, axis=0)
+        return coeffs, (1 + 2.0 ** -20) * (self._lagrange(k, p) + coef + _horner_bound(mags, J))
+
+    def _lagrange(self, k, p):
+        """Per anchor m = k 2^p, H = 2^p: the Lagrange remainder bound
+        (H - 1)^(K+1) sum |c| max |t^b log^i(t)| over t in [m, m + H - 1]
+        and the terms c t^b log^i(t) of f^(K+1)/(K+1)!, 0 for one-point
+        windows.
+
+        A term is monotone on the window, so its maximum is an end value,
+        unless b < 0 < i and its peak at t = e^(i/|b|) lies in the window;
+        there it is bounded by the peak value (i/(e|b|))^i.  Computed in
+        logarithms, so nothing overflows; the float rounding, below 2^-30
+        relative, is covered by the caller's factor 1 + 2^-20.
+        """
+        H = np.ldexp(1.0, p)
+        m = k * H
+        L0, L1 = np.log(m), np.log(m + (H - 1))
+        with np.errstate(divide="ignore"):  # log 0 = -inf: one-point windows, and ln 1
+            width = (self.K + 1) * np.log(H - 1)
+            ll0, ll1 = np.log(L0), np.log(L1)
+        total = np.zeros(m.shape)
+        for b, i, lc in self.remainder:
+            top = np.maximum(*((b * L0 + i * ll0, b * L1 + i * ll1) if i else (b * L0, b * L1)))
+            if b < 0 < i:
+                x = i / -b  # ln of the peak; a peak taken near the window still bounds it
+                inside = (L0 <= x * (1 + 2.0 ** -30)) & (x <= L1 * (1 + 2.0 ** -30))
+                top = np.where(inside, i * (math.log(x) - 1), top)
+            total += np.exp(lc + width + top)
+        return total

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -94,6 +95,20 @@ class TestWindowCommand:
         assert lines[2].startswith("t*log(t),2,1/2,0,2/3,0,3/5,True")
 
 
+def _weyl_per_N(config, m, grid, tmp_path) -> bytes:
+    """The bytes `weyl` writes, from one :func:`orbits.weyl_sum` pass per N."""
+    cfg = cli.build_orbit_config(cli.load_config(config))
+    label = "k" + "_".join(map(str, m))
+    rows = []
+    for N in grid:
+        s = O.weyl_sum(cfg, m, N)
+        rows += [[N, f"weyl_re_{label}", s.real], [N, f"weyl_im_{label}", s.imag],
+                 [N, f"weyl_abs_{label}", abs(s)]]
+    path = tmp_path / "per_N.csv"
+    cli.write_csv(str(path), cli.LONG_HEADER, rows)
+    return path.read_bytes()
+
+
 class TestDrivers:
     def test_weyl_passthrough_matches_library(self, torus_config, tmp_path):
         out = tmp_path / "weyl.csv"
@@ -106,6 +121,32 @@ class TestDrivers:
                 for r in out.read_text().strip().splitlines()[1:]}
         assert float(rows["weyl_re_k1"]) == want.real
         assert float(rows["weyl_im_k1"]) == want.imag
+
+    def test_weyl_walks_the_orbit_once_per_frequency(self, tmp_path, monkeypatch):
+        engines, samples = [], []
+        init, inner = O.OrbitEngine.__init__, O.OrbitEngine.samples
+
+        def counting_init(self, cfg):
+            engines.append(cfg)
+            init(self, cfg)
+
+        def counting_samples(self, n0, n1):
+            samples.append(n1 - n0 + 1)
+            return inner(self, n0, n1)
+
+        monkeypatch.setattr(O.OrbitEngine, "__init__", counting_init)
+        monkeypatch.setattr(O.OrbitEngine, "samples", counting_samples)
+        config = str(INSTANCES / "torus_boshernitzan.json")
+        out = tmp_path / "weyl.csv"
+        assert cli.main(["weyl", config, "--out", str(out)]) == 0
+        assert (len(engines), sum(samples)) == (1, 10 ** 6)
+        monkeypatch.undo()
+        assert out.read_bytes() == _weyl_per_N(config, [1], (10 ** 4, 10 ** 5, 10 ** 6), tmp_path)
+
+    def test_weyl_rows_follow_the_grid(self, torus_config, tmp_path):
+        out = tmp_path / "weyl.csv"
+        assert cli.main(["weyl", torus_config, "--N", "20000,10000,20000", "--out", str(out)]) == 0
+        assert out.read_bytes() == _weyl_per_N(torus_config, [1], (20000, 10000, 20000), tmp_path)
 
     def test_orbit_dump_header(self, tmp_path):
         p = tmp_path / "heis.json"
@@ -227,6 +268,21 @@ class TestExitCodes:
         assert cli.main([argv[0], torus_config, *argv[1:]]) == cli.EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_orbit_needs_positive_N(self, torus_config, tmp_path, N, capsys):
+        out = tmp_path / "orbit.csv"
+        assert cli.main(["orbit", torus_config, "--N", N, "--out", str(out)]) == \
+            cli.EXIT_PRECONDITION
+        assert not out.exists()
+        assert "N >= 1" in capsys.readouterr().err
+
+    def test_obstruction_needs_positive_N(self, torus_config, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["obstruction", torus_config, "--N", "0"]) == cli.EXIT_PRECONDITION
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "N >= 1" in capsys.readouterr().err
 
     def test_decreasing_config_grid(self, tmp_path, capsys):
         p = tmp_path / "decreasing.json"

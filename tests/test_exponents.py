@@ -1,13 +1,15 @@
 """Exponents a_i(n) from Taylor windows on the dyadic anchor grid.
 
 The values are checked against a 300-bit mpmath oracle, the certified bounds
-against the measured error, and the grid's defining property (a_i(n) depends
-on n alone) against whole-chunk evaluation.
+against the measured error at every n from 1 on, and the grid's defining
+property (a_i(n) depends on n alone) against whole-chunk evaluation.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,12 @@ import pytest
 from mpmath import mp
 
 from nilorbit import cli, hardy as H, orbits as O, windows as W
-from nilorbit.ddmath import DD, U2, exp_error, ln_error
+from nilorbit.ddmath import U2
 
 ROOT = Path(__file__).resolve().parent.parent
 FUNCTIONS = ["t^{3/2}", "t*log(t)", "t^{5/2}", "t^{1/2}*log(t)"]
 RANGE_STARTS = [1, 10 ** 3, 10 ** 5, 10 ** 6, 10 ** 7 - O.CHUNK]
+LATE_MONOTONE = "1/7*t^{5/4} + 1/3*t*log(t)^3"  # |f^(K+1)| decreases only past ~1e22
 
 
 def _oracle_error(f, n, value) -> tuple[float, float]:
@@ -32,15 +35,14 @@ def _oracle_error(f, n, value) -> tuple[float, float]:
 
 def _window_ends(ev, ns):
     """Indices whose Taylor window ends at n (h = H - 1), the farthest from the anchor."""
-    p = np.frexp(ns.astype(np.float64))[1] - 1 - ev.s
-    return np.flatnonzero((ns >= ev.n_start) & ((ns + 1) % (1 << np.maximum(p, 0)) == 0))
+    p = np.maximum(np.frexp(ns.astype(np.float64))[1] - 1 - ev.s, 0)
+    return np.flatnonzero((ns + 1) % (1 << p) == 0)
 
 
 @pytest.mark.parametrize("text", FUNCTIONS)
 def test_error_within_certified_bound(text):
     f = H.parse(text)
     ev = W.AnchoredTaylor(f)
-    assert ev.n_start is not None and ev.n_start <= 2 ** 14
     rng = np.random.default_rng(7)
     for a in RANGE_STARTS:
         ns = np.arange(a, a + O.CHUNK, dtype=np.int64)
@@ -52,39 +54,123 @@ def test_error_within_certified_bound(text):
             n = int(ns[i])
             err, size = _oracle_error(f, n, (hi[i], lo[i]))
             assert err <= bound[i], (text, n, err, bound[i])
-            if n >= ev.n_start:
-                assert bound[i] <= W.TARGET_REL * max(1.0, size), (text, n, bound[i])
+            assert bound[i] <= W.TARGET_REL * max(1.0, size), (text, n, bound[i])
 
 
-def test_exp_ln_error_models():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-60, 60, 400)
-    e = DD.exp((x, np.zeros_like(x)))
-    n = np.floor(rng.uniform(1, 1e8, 400))
-    L = DD.ln((n, np.zeros_like(n)))
-    with mp.workprec(200):
-        for i in range(len(x)):
-            want = mp.exp(mp.mpf(x[i]))
-            rel = abs(mp.mpf(e[0][i]) + mp.mpf(e[1][i]) - want) / want
-            assert rel <= exp_error(x[i]) * U2
-            want = mp.ln(mp.mpf(n[i]))
-            assert abs(mp.mpf(L[0][i]) + mp.mpf(L[1][i]) - want) <= ln_error(float(want)) * U2
+def _instance_functions():
+    return sorted({text for path in (ROOT / "instances").glob("*.json")
+                   for text in json.loads(path.read_text())["functions"]})
 
 
-def test_direct_path_bound_holds_below_start():
-    for text in FUNCTIONS + ["t^{3/2} + 1/2 + t^{-1}", "2*t^2 + t", "1/2*t^2 + 1/2*t"]:
-        f = H.parse(text)
-        ns = np.array([1, 2, 3, 17, 255, 1000, 2047, 10 ** 6 + 3], dtype=np.int64)
-        v = H.evaluate_kernel(f, DD, DD.from_int_array(ns))
-        bound = H.dd_error_bound(f, ns.astype(np.float64))
-        for i, n in enumerate(ns):
-            err, _ = _oracle_error(f, int(n), (np.broadcast_to(v[0], ns.shape)[i],
-                                               np.broadcast_to(v[1], ns.shape)[i]))
-            assert err <= bound[i], (text, n, err, bound[i])
-    # polynomials with dyadic coefficients evaluate exactly below 2^53: bound 0,
-    # so floor mode never sends their (integer) values to floor_at
-    for text in ("2*t^2 + t", "1/2*t^2 + 1/2*t"):
-        assert not H.dd_error_bound(H.parse(text), np.array([5.0, 1e6])).any()
+@pytest.mark.parametrize("text", sorted(set(FUNCTIONS) | set(_instance_functions()) | {
+    "2 + t^{-1}", "sqrt2*t^2", LATE_MONOTONE}))
+def test_small_n_within_target(text):
+    """Every n up to just past the one-point windows: error <= bound <= target."""
+    f = H.parse(text)
+    ev = W.AnchoredTaylor(f)
+    ns = np.arange(1, 2 ** (ev.s + 1) + 65, dtype=np.int64)
+    (hi, lo), bound = ev.evaluate(ns)
+    for i, n in enumerate(ns.tolist()):
+        err, size = _oracle_error(f, n, (hi[i], lo[i]))
+        assert err <= bound[i] <= W.TARGET_REL * max(1.0, size), (text, n, err, bound[i])
+
+
+def test_late_monotone_function_at_window_ends():
+    """A function whose |f^(K+1)| is certified decreasing only past ~1e22:
+    the termwise remainder bounds its windows from n = 1 on."""
+    f = H.parse(LATE_MONOTONE)
+    ev = W.AnchoredTaylor(f)
+    ns = np.array([n for e in range(ev.s + 1, 24) for n in (
+        2 ** e + 2 ** (e - ev.s) - 1,            # the octave's first window end
+        2 ** e + 37 * 2 ** (e - ev.s) - 1,
+        2 ** (e + 1) - 1)                         # its last
+        if n <= 10 ** 7], dtype=np.int64)
+    (hi, lo), bound = ev.evaluate(ns)
+    for i, n in enumerate(ns.tolist()):
+        err, size = _oracle_error(f, n, (hi[i], lo[i]))
+        assert err <= bound[i] <= W.TARGET_REL * max(1.0, size), (n, err, bound[i])
+
+
+@pytest.mark.parametrize("text", [
+    LATE_MONOTONE,
+    "t^{81/2} + t*log(t)",  # f^(K+1) increases on every window
+    "t^{17/2}*log(t)^5",    # a term of f^(K+1) peaks at e^10, inside a window
+])
+def test_termwise_remainder_bounds_the_truncation(text):
+    """The degree-K truncation error at each window's far end (h = H - 1),
+    from the 300-bit oracle, is at most the termwise Lagrange bound."""
+    f = H.parse(text)
+    ev = W.AnchoredTaylor(f)
+    anchors = {2 ** e for e in range(ev.s + 1, 24)} | {2 ** (e + 1) - 2 ** (e - ev.s)
+                                                       for e in range(ev.s + 1, 24)}
+    p14 = 14 - ev.s
+    anchors.add(22026 >> p14 << p14)  # the window around e^10
+    for m in sorted(anchors):
+        p = m.bit_length() - 1 - ev.s
+        h = 2 ** p - 1
+        n = m + h
+        bound = ev._lagrange(np.array([m >> p]), np.array([p]))[0]
+        with mp.workprec(300):
+            taylor = sum(H.evaluate_mp(H.derivative(f, j), m, 300) / mp.factorial(j) * h ** j
+                         for j in range(ev.K + 1))
+            err = abs(H.evaluate_mp(f, n, 300) - taylor)
+        assert err <= bound, (text, n, err, bound)
+
+
+def test_plan_of_a_high_power_without_float_overflow():
+    """Probe magnitudes such as 2^(16 * 40.5) are beyond float range; the plan
+    is computed in logarithms."""
+    f = H.parse("t^{81/2} + t*log(t)")
+    ev = W.AnchoredTaylor(f)
+    ns = np.array([1, 2, 3, 1000, 2 ** (ev.s + 1) + 1, 10 ** 6 - 1, 10 ** 7], dtype=np.int64)
+    (hi, lo), bound = ev.evaluate(ns)
+    for i, n in enumerate(ns.tolist()):
+        err, size = _oracle_error(f, n, (hi[i], lo[i]))
+        assert err <= bound[i] <= W.TARGET_REL * max(1.0, size), (n, err, bound[i])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "instances").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_dd_exponents_never_evaluate_directly(path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dd exponents evaluated outside the Taylor windows")
+
+    for module in (H, O, W):  # every module that binds the name, or may
+        monkeypatch.setattr(module, "evaluate_kernel", refuse, raising=False)
+    cfg = cli.build_orbit_config(cli.load_config(str(path)))
+    assert cfg.precision == "dd"
+    O.OrbitEngine(cfg).exponents(np.arange(1, O.CHUNK + 1, dtype=np.int64))
+
+
+def test_rational_polynomials_exact_in_real_mode():
+    ns = np.array([1, 2, 3, 2047, 2048, 10 ** 6 + 1, 2 ** 40 + 3], dtype=np.int64)
+    for text, want in (("t", lambda n: Fraction(n)),
+                       ("1/2*t^2 + 1/2*t", lambda n: Fraction(n * (n + 1), 2)),
+                       ("1/3*t^2", lambda n: Fraction(n * n, 3))):
+        cfg = O.OrbitConfig(dim=2, blocks=(2,), generators=((O.as_entry("phi"),),),
+                            functions=(H.parse(text),), base_point=(O.as_entry(0),))
+        (hi, lo), = O.OrbitEngine(cfg).exponents(ns)
+        for n, h, l in zip(ns.tolist(), hi, lo):
+            got, exact = Fraction(float(h)) + Fraction(float(l)), want(n)
+            if exact.denominator == 1:
+                assert got == exact, (text, n)
+            else:
+                assert abs(got - exact) <= U2 * exact, (text, n)
+
+
+def test_dd_index_range_ends_below_2_pow_52(tmp_path):
+    doc = json.loads((ROOT / "instances/torus_boshernitzan.json").read_text())
+    cfg = cli.build_orbit_config({**doc, "allow_beyond_cap": True})
+    with pytest.warns(UserWarning, match="beyond the precision cap"):
+        _, coords, _ = O.OrbitEngine(cfg).samples(2 ** 52 - 1, 2 ** 52 - 1)
+    assert np.isfinite(coords).all()
+    with pytest.raises(O.PrecisionCapError, match="2\\^52"):
+        O.OrbitEngine(cfg).samples(2 ** 52, 2 ** 52)
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps({**doc, "allow_beyond_cap": True}))
+    out = tmp_path / "orbit.csv"
+    assert cli.main(["orbit", str(path), "--N", str(2 ** 52), "--out", str(out)]) == \
+        cli.EXIT_PRECISION
 
 
 def test_single_index_equals_chunk_row_bit_for_bit():
