@@ -323,13 +323,16 @@ def cmd_orbit(args) -> int:
         raise PreconditionError(f"orbit needs N >= 1, got {N}")
     header = (["n"] + [f"coord_{i + 1}" for i in range(cfg.coords_dim)]
               + [f"horiz_{i + 1}" for i in range(cfg.horiz_dim)])
+
+    def text(ns, coords, horiz):  # the chunk's rows
+        return "".join(f"{n},{','.join(map(repr, c))},{','.join(map(repr, h))}\n"
+                       for n, c, h in zip(ns.tolist(), coords.tolist(), horiz.tolist()))
+
+    chunks = orbits.iter_sample_chunks(cfg, 1, N, text, args.workers)  # checks N before --out opens
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
         sink.write(",".join(header) + "\n")
-        for ns, coords, horiz in orbits.iter_sample_chunks(cfg, 1, N, args.workers):
-            sink.write("".join(
-                f"{n},{','.join(map(repr, c))},{','.join(map(repr, h))}\n"
-                for n, c, h in zip(ns.tolist(), coords.tolist(), horiz.tolist())))
+        sink.writelines(chunks)
     finally:
         if args.out:
             sink.close()

@@ -26,12 +26,15 @@ anchored-box discrepancy against Lebesgue measure, smoothness norms of window
 polynomials in the binomial basis, and the character-obstruction search that
 mirrors the quantitative equidistribution test.
 
-Summation discipline: every mean of the samples (Weyl sums, window and
-multiple ergodic averages) runs through :func:`chunked_mean`.  Values are
-summed per fixed-size chunk with numpy's pairwise sum, a grid point inside a
-chunk sums that chunk's prefix, and the partials are merged along a fixed
-binary tree, so a result is bit-identical for any worker count and whether
-its N is computed alone or along a grid.
+Summation discipline: every statistic is a reduction over fixed-size chunks
+walked by :func:`iter_sample_chunks`, which reduces each chunk where it is
+computed and hands on only the partials, in chunk order.  Every mean of the
+samples (Weyl sums, window and multiple ergodic averages) runs through
+:func:`chunked_mean`: a chunk's values are summed with numpy's pairwise sum,
+a grid point inside the chunk sums its prefix, and the partials are merged
+along a fixed binary tree, so a result is bit-identical for any worker count
+and whether its N is computed alone or along a grid.  The discrepancy adds
+integer cell counts, split at each grid N, so it is exact in any order.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -227,12 +231,6 @@ def _const(K, c: Double2):
     return c.pair() if K is DD else np.float64(float(c))
 
 
-def _ensure_shape(K, v, shape):
-    if K is DD:
-        return (np.broadcast_to(v[0], shape), np.broadcast_to(v[1], shape))
-    return np.broadcast_to(v, shape)
-
-
 class _Block:
     """One block: its generators' entry polynomials, as kernel constants and
     with the base point folded into the last generator, and its reduction.
@@ -283,6 +281,7 @@ class OrbitEngine:
         # polynomials (exact in integers); double keeps np.power
         self.taylor = ([None if is_rational_polynomial(f) else AnchoredTaylor(f)
                         for f in cfg.functions] if self.K is DD else None)
+        self.warned = False  # of a range beyond an allowed cap
         # the horizontal coordinates are the first d - 1 (superdiagonal) ones of each block
         self.blocks: list[_Block] = []
         self.horiz_cols: list[int] = []
@@ -299,10 +298,21 @@ class OrbitEngine:
 
     # -- per-chunk computation ----------------------------------------------
 
-    def exponents(self, ns: np.ndarray):
-        """a_i(n) for each function, floored in floor mode.
+    def windows(self, ns: np.ndarray) -> Callable:
+        """The Taylor windows of the indices ns under dd, by function index.
 
-        Polynomials with rational coefficients are exact: f(n) = P/D in
+        Each is built at its first lookup, so inside :meth:`exponents`, and
+        the layouts are shared by the functions with the same anchor bits.
+        """
+        layouts = {}
+        return cache(lambda gi: self.taylor[gi].windows(ns, layouts))
+
+    def exponents(self, ns: np.ndarray, windows: Optional[Callable] = None, start: int = 0):
+        """a_i(n) for each function at the indices ns, floored in floor mode.
+
+        Under dd, ``windows`` (from :meth:`windows`) are those of a longer
+        index array whose entries from ``start`` on are ns; by default those
+        of ns.  Polynomials with rational coefficients are exact: f(n) = P/D in
         integers, floored as P // D, or else the exact quotient plus the
         rest r/D rounded to the kernel (an integer value stays exact).  Under
         dd a value whose certified error margin reaches an integer is floored
@@ -310,8 +320,8 @@ class OrbitEngine:
         """
         K = self.K
         floor = self.cfg.floor_mode is FloorMode.FLOOR
+        windows = self.windows(ns) if windows is None else windows
         out = []
-        layouts = {}  # window layouts of ns, shared by functions with the same anchor bits
         for gi, f in enumerate(self.cfg.functions):
             if is_rational_polynomial(f):
                 P, D = rational_polynomial_numerator(f, ns)
@@ -320,11 +330,11 @@ class OrbitEngine:
                 if not floor and r.any():
                     s = K.add(s, K.div(K.from_int_array(r), K.from_int_array(np.asarray(D))))
                 out.append(s)
-            elif self.taylor is None:
-                s = _ensure_shape(K, evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
+            elif self.taylor is None:  # the double kernel
+                s = np.broadcast_to(evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
                 out.append(K.floor(s) if floor else s)
             else:
-                s, bound = self.taylor[gi].evaluate(ns, layouts, with_bound=floor)
+                s, bound = self.taylor[gi].evaluate(ns, windows(gi), start, floor)
                 if floor:
                     s, frac = K.floor_frac(s)
                     frac = K.to_float(frac)
@@ -403,30 +413,33 @@ class OrbitEngine:
 
     def check_range(self, n1: int) -> None:
         """Refuse indices up to n1 beyond the precision cap (unless allowed)
-        or, under dd, at or beyond 2^52."""
-        if n1 > self.cfg.n_cap and not self.cfg.allow_beyond_cap:
+        or, under dd, at or beyond 2^52; the first range beyond an allowed
+        cap warns, once per engine."""
+        cap = self.cfg.n_cap
+        if n1 > cap and not self.cfg.allow_beyond_cap:
             raise PrecisionCapError(
-                f"n={n1} exceeds the precision cap {self.cfg.n_cap}; pass allow_beyond_cap "
+                f"n={n1} exceeds the precision cap {cap}; pass allow_beyond_cap "
                 "to accept growing coordinate error")
         if self.taylor is not None and n1 >= TAYLOR_END:
             raise PrecisionCapError(f"n={n1} is beyond the dd exponent range n < 2^52")
+        if n1 > cap and not self.warned:
+            self.warned = True
+            warnings.warn(f"evaluating beyond the precision cap (n={n1} > {cap}); "
+                          "coordinate error grows with a(n)^(d-1)", stacklevel=3)
 
     def samples(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz)."""
+        """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz).
+
+        The exponents are evaluated one BLOCK at a time, just before that
+        block's coordinates, from Taylor windows built once for the range.
+        """
         self.check_range(n1)
-        cap = self.cfg.n_cap
-        if n1 > cap:
-            warnings.warn(
-                f"evaluating beyond the precision cap (n={n1} > {cap}); "
-                "coordinate error grows with a(n)^(d-1)", stacklevel=2)
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
-        expo = self.exponents(ns)
+        windows = self.windows(ns)
         coords = np.empty((len(ns), self.cfg.coords_dim))
         for b in range(0, len(ns), BLOCK):
             part = slice(b, b + BLOCK)
-            self._coordinates(
-                [(s[0][part], s[1][part]) if self.K is DD else s[part] for s in expo],
-                coords[part])
+            self._coordinates(self.exponents(ns[part], windows, b), coords[part])
         return ns, coords, coords[:, self.horiz_cols]
 
     def _coordinates(self, expo, out):
@@ -448,23 +461,36 @@ def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
     return OrbitSample(n, coords[0], horiz[0])
 
 
-def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, workers: int = 1):
-    """Yield (ns, coords, horiz) chunks covering [n0, n1] in order.
+def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, reduce: Callable, workers: int = 1):
+    """Yield reduce(ns, coords, horiz) of each fixed-size chunk of [n0, n1], in order.
 
-    Chunks are fixed-size and independent, so any worker count produces the
-    same chunks in the same order.
+    The range is checked at the call.  Each chunk is reduced where it is
+    computed, in a worker thread when ``workers`` > 1, and at most
+    ``workers`` chunks are computed ahead of the caller; chunks are
+    independent, so every worker count yields the same values.
     """
     engine = OrbitEngine(cfg)
     engine.check_range(n1)
-    ranges = [(a, min(a + CHUNK - 1, n1)) for a in range(n0, n1 + 1, CHUNK)]
-    if workers <= 1:
-        for a, b in ranges:
-            yield engine.samples(a, b)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # off the import path
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda r: engine.samples(r[0], r[1]), ranges)
+    def work(a: int):
+        return reduce(*engine.samples(a, min(a + CHUNK - 1, n1)))
+
+    starts = range(n0, n1 + 1, CHUNK)
+    return (work(a) for a in starts) if workers <= 1 else _in_pool(work, starts, workers)
+
+
+def _in_pool(work: Callable, tasks: Iterable, workers: int):
+    """work(t) for each task, in order; ``workers`` tasks run ahead of the caller."""
+    from concurrent.futures import ThreadPoolExecutor  # off the import path
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for t in tasks:
+            pending.append(pool.submit(work, t))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def tree_sum(parts: Sequence[complex]) -> complex:
@@ -492,16 +518,19 @@ def chunked_mean(cfg: OrbitConfig, integrand: Callable[[np.ndarray, np.ndarray, 
     ends = list(ends)
     if not ends or ends[0] < n0 or any(a >= b for a, b in zip(ends, ends[1:])):
         raise PreconditionError(f"N grid must be strictly increasing, with N >= {n0}; got {ends}")
-    means: list[complex] = []
-    partials: list[complex] = []
-    for ns, coords, horiz in iter_sample_chunks(cfg, n0, ends[-1], workers):
+
+    def reduce(ns, coords, horiz):  # the chunk's prefix sums at the ends it holds, and its sum
         vals = integrand(ns, coords, horiz)
         a, b = int(ns[0]), int(ns[-1])
-        while len(means) < len(ends) and ends[len(means)] <= b:
-            N = ends[len(means)]
-            head = complex(np.sum(vals[:N - a + 1]))
-            means.append(tree_sum(partials + [head]) / (N - n0 + 1))
-        partials.append(complex(np.sum(vals)))
+        heads = [complex(np.sum(vals[:N - a + 1])) for N in ends if a <= N <= b]
+        return heads, complex(np.sum(vals))
+
+    means: list[complex] = []
+    partials: list[complex] = []
+    for heads, total in iter_sample_chunks(cfg, n0, ends[-1], reduce, workers):
+        for head in heads:
+            means.append(tree_sum(partials + [head]) / (ends[len(means)] - n0 + 1))
+        partials.append(total)
     return means
 
 
@@ -586,17 +615,23 @@ def window_average(cfg: OrbitConfig, test: TestFunction | dict, N: int,
                         N, (N + L_at_N,), workers)[0]
 
 
-def histogram_counts(samples: np.ndarray, grid_res: int) -> np.ndarray:
-    """Cell counts of samples in [0,1)^dim on a grid_res^dim grid."""
+def cell_indices(samples: np.ndarray, grid_res: int) -> np.ndarray:
+    """The C-order index of each sample's cell in [0,1)^dim on a grid_res^dim grid."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n, dim = samples.shape
-    flat = np.zeros(n, dtype=np.int64)  # the C-order cell index, one column at a time
-    for col in range(dim):
-        idx = (samples[:, col] * grid_res).astype(np.int64)
+    flat = np.zeros(len(samples), dtype=np.int64)  # one column at a time
+    for col in samples.T:
+        idx = (col * grid_res).astype(np.int64)
         np.clip(idx, 0, grid_res - 1, out=idx)
         flat *= grid_res
         flat += idx
-    return np.bincount(flat, minlength=grid_res ** dim).reshape((grid_res,) * dim)
+    return flat
+
+
+def histogram_counts(samples: np.ndarray, grid_res: int) -> np.ndarray:
+    """Cell counts of samples in [0,1)^dim on a grid_res^dim grid."""
+    dim = np.atleast_2d(samples).shape[1]
+    return np.bincount(cell_indices(samples, grid_res),
+                       minlength=grid_res ** dim).reshape((grid_res,) * dim)
 
 
 @lru_cache(maxsize=None)
@@ -658,19 +693,19 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
     if not targets or targets[0] < 1:
         raise PreconditionError("discrepancy needs N >= 1")
     hist = np.zeros((grid_res,) * cfg.coords_dim, dtype=np.int64)
-    found: dict[int, float] = {}
-    for ns, coords, horiz in iter_sample_chunks(cfg, 1, targets[-1], workers):
-        start = 0
-        for N in targets[len(found):]:
-            if N > ns[-1]:
-                break
-            cut = N - int(ns[0]) + 1
-            hist += histogram_counts(coords[start:cut], grid_res)
-            start = cut
-            found[N] = discrepancy_from_histogram(hist, N)
-        if start < len(ns):
-            hist += histogram_counts(coords[start:], grid_res)
-    return [found[N] for N in grid]
+
+    def reduce(ns, coords, horiz):  # occupied cells and their counts, split after each N held
+        cuts = [0, *(N - int(ns[0]) + 1 for N in targets if ns[0] <= N <= ns[-1]), len(ns)]
+        return [np.unique(cell_indices(coords[a:b], grid_res), return_counts=True)
+                for a, b in zip(cuts, cuts[1:])]
+
+    found: list[float] = []  # at each of the targets
+    for pieces in iter_sample_chunks(cfg, 1, targets[-1], reduce, workers):
+        for i, (cells, counts) in enumerate(pieces):
+            hist.reshape(-1)[cells] += counts
+            if i < len(pieces) - 1:
+                found.append(discrepancy_from_histogram(hist, targets[len(found)]))
+    return [found[targets.index(N)] for N in grid]
 
 
 def orbit_discrepancy(cfg: OrbitConfig, N: int, grid_res: Optional[int] = None,

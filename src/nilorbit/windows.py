@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ddmath import (ADD_ERR, BLOCK, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, comp_horner,
+from .ddmath import (ADD_ERR, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, comp_horner,
                      split, two_prod)
 from .hardy import (
     HardyExpr,
@@ -356,23 +356,12 @@ class _Layout:
         # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
         self.prod = two_prod if p.max(initial=0) > 26 else _two_prod_short
 
-
-def _horner(r, J, layout: _Layout):
-    """DD values of sum_j r_j v^j over the layout's indices, for per-run DD
-    coefficient arrays r_j = (hi, lo), by :func:`ddmath.comp_horner` with
-    orders up to J compensated.  Each block of BLOCK entries repeats the
-    coefficients of its runs to its entries, which gathers none."""
-    v, starts, ends = layout.v, layout.starts, layout.ends
-    hi = np.empty(v.shape)
-    lo = np.empty(v.shape)
-    for b in range(0, len(v), BLOCK):
-        e = min(b + BLOCK, len(v))
-        a0, a1 = np.searchsorted(starts, b, side="right") - 1, np.searchsorted(starts, e)
-        cnt = np.minimum(ends[a0:a1], e) - np.maximum(starts[a0:a1], b)
-        cb = [(np.repeat(hj[a0:a1], cnt), np.repeat(lj[a0:a1], cnt) if j <= J else None)
-              for j, (hj, lj) in enumerate(r)]
-        hi[b:e], lo[b:e] = comp_horner(cb, J, v[b:e], layout.prod)
-    return hi, lo
+    def runs(self, b: int, e: int):
+        """The runs that meet entries [b, e), as a slice, and how many of
+        those entries each covers: np.repeat of a per-run array over them
+        gives its per-entry values, which gathers none."""
+        a0, a1 = np.searchsorted(self.starts, b, side="right") - 1, np.searchsorted(self.starts, e)
+        return slice(a0, a1), np.minimum(self.ends[a0:a1], e) - np.maximum(self.starts[a0:a1], b)
 
 
 def _horner_bound(mags, J):
@@ -423,12 +412,13 @@ class AnchoredTaylor:
     f(n) = sum_{j<=K} r_j v^j + R with r_j = f^(j)(m) H^j / j!: orders up to
     J run as a compensated Horner scheme (:func:`ddmath.comp_horner`, after
     Graillat, Langlois and Louvet 2009), about half the flops of a DD Horner
-    at the same accuracy, and the small orders J+1..K as a float64 one
-    (:func:`_horner`).  v has at most e - s significant bits, so for
-    e - s <= 26 its Dekker split is v itself and each TwoProd splits only
-    the running sum.  The layout of a call's indices (anchors, runs, v) is
-    computed once per s and shared by the functions with that s.  Each
-    r_j is computed once per anchor, vectorized over a call's anchors, from
+    at the same accuracy, and the small orders J+1..K as a float64 one.
+    v has at most e - s significant bits, so for e - s <= 26 its Dekker split
+    is v itself and each TwoProd splits only the running sum.  The layout of
+    an index range (anchors, runs, v) is computed once per s and shared by the
+    functions with that s (:meth:`windows`); :meth:`evaluate` takes any
+    stretch of the range.  Each r_j is computed once per anchor, vectorized
+    over a range's anchors, from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
     are shared across orders and built from the per-octave tables of k^a,
@@ -505,20 +495,29 @@ class AnchoredTaylor:
                 break
         return plan
 
-    def evaluate(self, ns: np.ndarray, layouts: Optional[dict] = None, with_bound: bool = True):
-        """(DD value pair, absolute error bound) of f at the int64 indices ns,
-        each in [1, 2^52).
-
-        ``layouts`` keeps the window layout of ns by s for the other functions
-        of a call.  Without ``with_bound`` the bound may be None.
-        """
+    def windows(self, ns: np.ndarray, layouts: Optional[dict] = None):
+        """The windows of the int64 indices ns, each in [1, 2^52): their
+        layout and, per window, the DD coefficients r_j and the error bound.
+        ``layouts`` keeps the layout by s for the other functions of a call."""
         layouts = {} if layouts is None else layouts
         if self.s not in layouts:
             layouts[self.s] = _Layout(np.asarray(ns, dtype=np.int64), self.s)
         layout = layouts[self.s]
-        r, bound = self._coefficients(layout.k, layout.p)
-        value = _horner(r, self.J, layout)
-        return value, np.repeat(bound, layout.ends - layout.starts) if with_bound else None
+        return (layout, *self._coefficients(layout.k, layout.p))
+
+    def evaluate(self, ns: np.ndarray, windows=None, start: int = 0, with_bound: bool = True):
+        """(DD value pair, absolute error bound) of f at the int64 indices ns.
+
+        ``windows`` (from :meth:`windows`) are those of a longer index array
+        whose entries from ``start`` on are ns; by default those of ns.
+        Without ``with_bound`` the bound is None.
+        """
+        layout, r, bound = self.windows(ns) if windows is None else windows
+        run, cnt = layout.runs(start, start + len(ns))
+        cb = [(np.repeat(hj[run], cnt), np.repeat(lj[run], cnt) if j <= self.J else None)
+              for j, (hj, lj) in enumerate(r)]
+        value = comp_horner(cb, self.J, layout.v[start:start + len(ns)], layout.prod)
+        return value, np.repeat(bound[run], cnt) if with_bound else None
 
     def _load_tables(self):
         with self._lock:

@@ -223,6 +223,28 @@ class TestDeterminism:
                          "--workers", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "heisenberg_pair.json", "--N", "1e4,7e4,2e5", "--grid", "4"],
+        ["orbit", "torus_boshernitzan.json", "--N", "132072"],
+    ], ids=["discrepancy", "orbit"])
+    def test_workers_byte_identical(self, argv, tmp_path):
+        outs = []
+        for workers in ("1", "2", "3"):
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert cli.main([argv[0], str(INSTANCES / argv[1]), *argv[2:],
+                             "--workers", workers, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_beyond_cap_warns_once(self, tmp_path):
+        p = tmp_path / "capped.json"
+        p.write_text(json.dumps({**TORUS, "N_cap": 1000, "allow_beyond_cap": True}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["weyl", str(p), "--N", "300000",
+                             "--out", str(tmp_path / "w.csv")]) == 0
+        assert [w.category for w in caught] == [UserWarning]
+        assert "beyond the precision cap" in str(caught[0].message)
+
 
 class TestExitCodes:
     def test_config_schema_is_valid(self):
@@ -277,6 +299,16 @@ class TestExitCodes:
         assert not out.exists()
         assert "N >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("N,extra", [("2e7", {}),
+                                         (str(2 ** 52), {"allow_beyond_cap": True})])
+    def test_orbit_out_of_range_writes_nothing(self, tmp_path, N, extra):
+        doc = json.loads((INSTANCES / "torus_boshernitzan.json").read_text())
+        p = tmp_path / "torus.json"
+        p.write_text(json.dumps({**doc, **extra}))
+        out = tmp_path / "orbit.csv"
+        assert cli.main(["orbit", str(p), "--N", N, "--out", str(out)]) == cli.EXIT_PRECISION
+        assert not out.exists()
+
     def test_obstruction_needs_positive_N(self, torus_config, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -321,7 +353,7 @@ def test_orbit_dump_matches_per_cell_formatter(tmp_path):
     cfg = cli.build_orbit_config(cli.load_config(config))
     lines = [",".join(["n"] + [f"coord_{i + 1}" for i in range(cfg.coords_dim)]
                       + [f"horiz_{i + 1}" for i in range(cfg.horiz_dim)])]
-    for ns, coords, horiz in O.iter_sample_chunks(cfg, 1, 20000):
+    for ns, coords, horiz in O.iter_sample_chunks(cfg, 1, 20000, lambda *c: c):
         for i in range(len(ns)):
             lines.append(",".join([str(int(ns[i]))] + [repr(float(x)) for x in coords[i]]
                                   + [repr(float(x)) for x in horiz[i]]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +188,26 @@ def test_single_index_equals_chunk_row_bit_for_bit():
     for s_full, s_sparse in zip(full, engine.exponents(sparse)):
         for j, n in enumerate(sparse):
             assert (s_full[0][n - 1], s_full[1][n - 1]) == (s_sparse[0][j], s_sparse[1][j])
+
+
+def test_floor_mode_rows_equal_single_points_across_blocks():
+    """Per-block exponents of a floor-mode chunk whose Taylor windows straddle
+    the BLOCK boundaries: the rows there, and at the perfect squares (where
+    n^(3/2) is an integer and the floor falls back to exact evaluation),
+    equal single-point evaluation bit for bit."""
+    cfg = cli.build_orbit_config(cli.load_config(str(ROOT / "instances/pointwise_dependent.json")))
+    assert cfg.floor_mode is O.FloorMode.FLOOR
+    engine = O.OrbitEngine(cfg)
+    n0 = 900_001  # odd: no block starts a window
+    ns, coords, _ = engine.samples(n0, n0 + O.CHUNK - 1)
+    straddle = [n0 + b + d for b in range(O.BLOCK, O.CHUNK, O.BLOCK) for d in (-1, 0)]
+    for t in engine.taylor:
+        p = int(np.frexp(float(n0))[1]) - 1 - t.s
+        assert p > 0 and all((n >> p) == ((n + 1) >> p) for n in straddle[::2])
+    squares = [k * k for k in range(math.isqrt(n0 - 1) + 1, math.isqrt(int(ns[-1])) + 1)]
+    assert len(squares) > 30
+    for n in straddle + squares:
+        assert O.orbit_point(cfg, n).coords.tobytes() == coords[n - n0].tobytes(), n
 
 
 def test_floor_mode_exact_at_perfect_squares():

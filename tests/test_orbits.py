@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -240,6 +241,16 @@ class TestDiscrepancy:
                 vol = np.multiply.outer(vol, axis)
             ref = float(np.max(np.abs(c / total - vol)))
             assert O.discrepancy_from_histogram(hist, total) == ref
+        cells = O.cell_indices(xs, g)
+        assert (cells == np.ravel_multi_index(tuple(idx.T), (g,) * dim)).all()
+
+    def test_series_on_a_grid_counted_sparse(self):
+        # 64^3 cells, more than a chunk's samples: most stay empty
+        cfg = heis_cfg("phi", "sqrt2", "t^{3/2}")
+        grid = (1000, O.CHUNK, O.CHUNK + 4000)
+        coords = O.OrbitEngine(cfg).samples(1, grid[-1])[1]
+        assert O.discrepancy_series(cfg, grid, 64, workers=2) == \
+            [O.box_discrepancy(coords[:N], 64) for N in grid]
 
 
 class TestBinomialBasis:
@@ -385,10 +396,29 @@ class TestSampleDump:
     def test_chunks_cover_range_in_order(self):
         cfg = torus_cfg("phi")
         seen = []
-        for ns, coords, horiz in O.iter_sample_chunks(cfg, 1, 200000, workers=3):
+        for ns, coords, horiz in O.iter_sample_chunks(cfg, 1, 200000, lambda *c: c, workers=3):
             seen.append((int(ns[0]), int(ns[-1])))
             assert coords.shape == (len(ns), 1) and horiz.shape == (len(ns), 1)
             assert np.all(coords >= 0) and np.all(coords < 1)
         assert seen[0][0] == 1 and seen[-1][1] == 200000
         for (a, b), (c, d) in zip(seen, seen[1:]):
             assert c == b + 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slow_consumer_bounds_chunks_ahead(self, workers):
+        started, ahead = [], []
+
+        def reduce(ns, coords, horiz):
+            started.append(int(ns[0]))  # list.append is atomic
+            return int(ns[0])
+
+        walk = O.iter_sample_chunks(torus_cfg("phi"), 1, 8 * O.CHUNK, reduce, workers)
+        for i, a in enumerate(walk):
+            assert a == 1 + i * O.CHUNK
+            time.sleep(0.05)  # time for the workers to run ahead
+            ahead.append(len(started) - (i + 1))
+        assert len(started) == 8 and max(ahead) <= workers
+
+    def test_range_checked_at_the_call(self):
+        with pytest.raises(O.PrecisionCapError):
+            O.iter_sample_chunks(torus_cfg("phi"), 1, O.DEFAULT_N_CAP + 1, lambda *c: c)
