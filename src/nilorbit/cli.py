@@ -123,11 +123,18 @@ def parse_grid(spec) -> tuple[int, ...]:
     if isinstance(spec, (list, tuple)):
         return tuple(int(x) for x in spec)
     text = str(spec)
+
+    def value(x: str) -> int:
+        try:
+            return int(float(x))
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"bad grid {spec!r}: {e}") from e
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or parts[2] != "decade":
             raise ConfigError(f"grid must be values or 'a:b:decade', got {spec!r}")
-        a, b = (int(float(parts[0])), int(float(parts[1])))
+        a, b = value(parts[0]), value(parts[1])
         if a < 1 or b < a:
             raise ConfigError(f"bad grid range {spec!r}")
         grid = []
@@ -136,10 +143,7 @@ def parse_grid(spec) -> tuple[int, ...]:
             grid.append(n)
             n *= 10
         return tuple(grid)
-    try:
-        return tuple(int(float(x)) for x in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad grid {spec!r}: {e}") from e
+    return tuple(value(x) for x in text.split(","))
 
 
 def load_config(path: str) -> dict:
@@ -167,12 +171,12 @@ def build_orbit_config(doc: dict) -> orbits.OrbitConfig:
         functions = tuple(hardy.parse(s) for s in doc["functions"])
     except HardyParseError as e:
         raise ConfigError(f"bad function expression: {e}") from e
-    gens = tuple(tuple(orbits.as_entry(v) for v in g) for g in doc["generators"])
     m = sum(b * (b - 1) // 2 for b in blocks)
     base = doc.get("base_point", [0] * m)
     try:
         return orbits.OrbitConfig(
-            dim=dim, blocks=blocks, generators=gens, functions=functions,
+            dim=dim, blocks=blocks, functions=functions,
+            generators=tuple(tuple(orbits.as_entry(v) for v in g) for g in doc["generators"]),
             base_point=tuple(orbits.as_entry(v) for v in base),
             floor_mode=orbits.FloorMode(doc.get("floor_mode", "real")),
             precision=doc.get("precision", "dd"),
@@ -197,7 +201,10 @@ def build_window(doc: dict, cfg: orbits.OrbitConfig):
     spec = doc.get("window", "auto")
     if spec == "auto":
         return windows.find_common_window(snp)
-    gamma = Fraction(str(spec["gamma"]))
+    try:
+        gamma = Fraction(str(spec["gamma"]))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"window gamma {spec['gamma']!r} is not a rational: {e}") from e
     orders = []
     for f in snp:
         k = windows.order_for_power(f, gamma)
@@ -392,7 +399,7 @@ def cmd_weyl(args) -> int:
 def cmd_discrepancy(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
-    grid_res = args.grid if args.grid is not None else (8 if cfg.coords_dim >= 3 else 16)
+    grid_res = args.grid if args.grid is not None else orbits.default_grid_res(cfg.coords_dim)
     header = LONG_HEADER
     grid = _grid(args, doc)
     values = orbits.discrepancy_series(cfg, grid, grid_res, args.workers)

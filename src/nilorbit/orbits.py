@@ -1,14 +1,16 @@
 """Orbit generation on unitriangular nilmanifolds and equidistribution statistics.
 
-The engine evaluates g(n) = b_1^(a_1(n)) ... b_k^(a_k(n)) x and reduces it to
-fundamental-domain coordinates, vectorized over blocks of n in double-double
-precision (group entries grow like a(n)^(d-1), far beyond float64 once
-a(n) ~ 1e9).  Since log b is nilpotent, every entry of b^s x is a polynomial
-in s: each block's generator is compiled once, with the base point folded in,
-to scalar DD coefficients of its entry polynomials (several commuting
-generators on one group fold it into the last one and are multiplied out per
-sample).  A sample evaluates each entry by the compensated Horner scheme of
-:func:`nilorbit.ddmath.comp_horner`, the DD exponent split once per block.
+The engine evaluates g(n) = b_1^(a_1(n)) ... b_k^(a_k(n)) x, the powers
+multiplied in that order with x on the right (the generators need not
+commute), and reduces it to fundamental-domain coordinates, vectorized over
+blocks of n in double-double precision (group entries grow like a(n)^(d-1),
+far beyond float64 once a(n) ~ 1e9).  Since log b is nilpotent, every entry
+of b^s x is a polynomial in s: each generator is compiled once to scalar DD
+coefficients of its entry polynomials, the base point folded into those of
+its block's last generator, as b_k^s x.  Several generators on one group are
+multiplied out per sample, in order.  A sample evaluates each entry by the
+compensated Horner scheme of :func:`nilorbit.ddmath.comp_horner`, the DD
+exponent split once per block.
 
 Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
 anchor grid (:class:`nilorbit.windows.AnchoredTaylor`), for every n in
@@ -62,7 +64,6 @@ from .hardy import (
     rational_polynomial_numerator,
 )
 from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window
-from . import nilpotent
 
 CHUNK = 1 << 16
 DEFAULT_N_CAP = 10 ** 7
@@ -81,31 +82,42 @@ class FloorMode(enum.Enum):
 # --------------------------------------------------------------------------
 # configuration
 
+def coordinate_order(d: int) -> list[tuple[int, int]]:
+    """Strict-upper index pairs (0-based) of a d x d block, the Malcev
+    coordinates: superdiagonal offset ascending, then row ascending."""
+    return [(i, i + o) for o in range(1, d) for i in range(d - o)]
+
+
 def as_entry(v) -> Double2:
-    """Coerce a config entry (number, rational string, or constant name)."""
+    """Coerce a config entry (number, rational string, or constant name);
+    ValueError unless it is one with a finite value."""
     from .constants import REGISTRY
 
     if isinstance(v, Double2):
         return v
-    if isinstance(v, str):
-        if v in REGISTRY:
-            return Double2.from_fraction(REGISTRY[v].as_fraction())
-        return Double2.from_fraction(Fraction(v))
-    if isinstance(v, Fraction):
-        return Double2.from_fraction(v)
-    if isinstance(v, int):
-        return Double2.from_fraction(Fraction(v))
-    return Double2(float(v))
+    try:
+        if isinstance(v, str) and v in REGISTRY:
+            x = Double2.from_fraction(REGISTRY[v].as_fraction())
+        elif isinstance(v, (str, Fraction, int)):
+            x = Double2.from_fraction(Fraction(v))
+        else:
+            x = Double2(float(v))
+        if math.isfinite(x.hi):
+            return x
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"entry {v!r} is not a finite number, rational or constant name")
 
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    """Combined-orbit instance b_1^(a_1(n)) ... b_k^(a_k(n)) x on one group.
+    """Combined-orbit instance b_1^(a_1(n)) ... b_k^(a_k(n)) x on one group:
+    the product taken in this order, x on the right.
 
     ``blocks`` declares a block-diagonal product structure: with several
-    blocks, generator i lives in block i (commuting by construction) and
-    sample coordinates are listed factor-major.  With a single block all
-    generators act on the full group and must commute.
+    blocks, generator i lives in block i and sample coordinates are listed
+    factor-major.  With a single block all generators act on the full group;
+    they need not commute.
     """
 
     dim: int
@@ -140,18 +152,6 @@ class OrbitConfig:
             b = self.blocks[gi] if len(self.blocks) > 1 else self.dim
             if len(g) != b * (b - 1) // 2:
                 raise ValueError(f"generator {gi} needs {b * (b - 1) // 2} coordinates")
-        if len(self.blocks) == 1 and len(self.generators) > 1:
-            self._check_commuting()
-
-    def _check_commuting(self):
-        els = [nilpotent.UnitriangularElement.from_coords(
-            self.dim, [float(e) for e in g]) for g in self.generators]
-        for a in range(len(els)):
-            for b in range(a + 1, len(els)):
-                c = nilpotent.commutator(els[a], els[b])
-                if np.abs(c.mat - np.eye(self.dim)).max() > 1e-12:
-                    raise PreconditionError(
-                        f"generators {a} and {b} do not commute (combined mode)")
 
     @property
     def coords_dim(self) -> int:
@@ -208,7 +208,7 @@ def _entry_polynomials(entries: Sequence[Double2], d: int, base: dict) -> dict:
     lam = log b and M_j = lam^j / j!, entry (r, c) is
     U[r, c] + sum_{j>=1} s^j (M_j X)[r, c].  Maps each nonzero entry to its
     coefficients [c_0, c_1, ...], None marking a zero."""
-    lam = _log_dd({k: v for k, v in zip(nilpotent.coordinate_order(d), entries)
+    lam = _log_dd({k: v for k, v in zip(coordinate_order(d), entries)
                    if float(v) != 0.0}, d)
     terms, power = [base], {k: v for k, v in lam.items() if not _is_zero(v)}
     for j in range(1, d):
@@ -235,7 +235,7 @@ class _Block:
     """One block: its generators' entry polynomials, as kernel constants and
     with the base point folded into the last generator, and its reduction.
 
-    The reduction clears the entries in :func:`nilpotent.coordinate_order`:
+    The reduction clears the entries in :func:`coordinate_order`:
     clearing (i, j) by its floor m subtracts m (r, i) from (r, j) for every
     nonzero column entry (r, i), r < i.  ``steps`` holds, per coordinate,
     (key, the rows r of its updates, whether a later step reads its reduced
@@ -255,9 +255,9 @@ class _Block:
                                                for cs in poly.values()]))
         # several generators: their product may fill any entry
         present = ({k for _, keys, _ in self.gens for k in keys} if len(gens) == 1
-                   else set(nilpotent.coordinate_order(d)))
+                   else set(coordinate_order(d)))
         steps = []
-        for i, j in nilpotent.coordinate_order(d):
+        for i, j in coordinate_order(d):
             rows = tuple(r for r in range(i) if (r, i) in present)
             steps.append([(i, j), rows] if (i, j) in present else None)
             if (i, j) in present:
@@ -288,8 +288,8 @@ class OrbitEngine:
         pos = 0
         for bi, b in enumerate(cfg.blocks):
             m = b * (b - 1) // 2
-            base = {k: v for k, v in zip(nilpotent.coordinate_order(b),
-                                         cfg.base_point[pos:pos + m]) if float(v) != 0.0}
+            base = {k: v for k, v in zip(coordinate_order(b), cfg.base_point[pos:pos + m])
+                    if float(v) != 0.0}
             gens = [(gi, g) for gi, g in enumerate(cfg.generators)
                     if len(cfg.blocks) == 1 or gi == bi]
             self.blocks.append(_Block(self.K, b, gens, base))
@@ -677,18 +677,38 @@ def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -
     return discrepancy_from_histogram(hist, total)
 
 
+# cells of a discrepancy histogram: 32 MiB of int64 counts, and
+# discrepancy_from_histogram makes three more arrays of that size
+MAX_CELLS = 1 << 22
+
+
+def default_grid_res(coords_dim: int) -> int:
+    """Boxes per axis: 16 up to two coordinates and 8 from three, lowered
+    until the grid has at most MAX_CELLS cells."""
+    g = 16 if coords_dim < 3 else 8
+    while g > 2 and g ** coords_dim > MAX_CELLS:
+        g -= 1
+    return g
+
+
 def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional[int] = None,
                        workers: int = 1) -> list[float]:
     """Discrepancy of the first N reduced orbit points for each N in grid, in one pass.
 
     The chunks up to max(grid) are streamed once; the cell counts are
     snapshotted at each N (splitting the chunk that holds it), so each value
-    equals a separate pass to N exactly.
+    equals a separate pass to N exactly.  ``grid_res`` defaults to
+    :func:`default_grid_res`; a grid of more than MAX_CELLS cells is refused.
     """
     if grid_res is None:
-        grid_res = 8 if cfg.coords_dim >= 3 else 16
+        grid_res = default_grid_res(cfg.coords_dim)
     if grid_res < 2:
         raise PreconditionError("grid resolution must be >= 2")
+    if grid_res ** cfg.coords_dim > MAX_CELLS:
+        raise PreconditionError(
+            f"grid {grid_res} on {cfg.coords_dim} coordinates has {grid_res ** cfg.coords_dim} "
+            f"cells, above the budget of {MAX_CELLS} (the default grid here is "
+            f"{default_grid_res(cfg.coords_dim)})")
     targets = sorted(set(grid))
     if not targets or targets[0] < 1:
         raise PreconditionError("discrepancy needs N >= 1")
@@ -852,7 +872,7 @@ def generator_horizontal_lifts(cfg: OrbitConfig) -> list[list[Double2]]:
         else:
             d = cfg.dim
             offset = 0
-        order = nilpotent.coordinate_order(d)
+        order = coordinate_order(d)
         for (i, j), v in zip(order, entries):
             if j == i + 1:
                 row[offset + i] = v

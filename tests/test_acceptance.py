@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilorbit import averages as A, cli, hardy as H, nilpotent as NP, orbits as O, windows as W
+import engine_group as G
+from nilorbit import averages as A, cli, hardy as H, orbits as O, windows as W
+from nilorbit.ddmath import DD
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -92,38 +94,34 @@ def test_criterion_5_pointwise_with_dependencies():
 
 
 def test_criterion_6_group_arithmetic_suite():
+    """The engine's group arithmetic: entry polynomials through DD.polyval,
+    _block_product and _reduce_block, on 2,500 elements per identity family,
+    batched by dimension."""
     with _Gate("6 group arithmetic 1e4 checks", 10.0):
         rng = np.random.default_rng(2026)
-        per_family = 2500
-        for _ in range(per_family):
-            d = int(rng.integers(2, 6))
-            X = NP.LieAlgebraElement(np.triu(rng.normal(size=(d, d)), 1))
-            assert np.abs(NP.log(NP.exp(X)).mat - X.mat).max() <= 1e-12
-        for _ in range(per_family):
-            d = int(rng.integers(2, 6))
-            b = NP.UnitriangularElement.from_coords(
-                d, rng.normal(scale=1.0, size=d * (d - 1) // 2))
-            s, t = rng.normal(scale=3.0, size=2)
-            lhs = NP.power_real(b, s + t).mat
-            rhs = NP.multiply(NP.power_real(b, s), NP.power_real(b, t)).mat
-            assert np.abs(lhs - rhs).max() <= 1e-12
-        for _ in range(per_family):
-            d = int(rng.integers(2, 5))
-            g = NP.UnitriangularElement.from_coords(
-                d, rng.normal(scale=4.0, size=d * (d - 1) // 2))
-            gam = NP.UnitriangularElement.from_coords(
-                d, rng.integers(-3, 4, size=d * (d - 1) // 2).astype(float))
-            a, _ = NP.reduce_mod_lattice(g)
-            b2, _ = NP.reduce_mod_lattice(NP.multiply(g, gam))
-            assert np.abs(a.values - b2.values).max() <= 1e-12
-        for _ in range(per_family):
-            d = int(rng.integers(2, 6))
-            g = NP.UnitriangularElement.from_coords(
-                d, rng.normal(scale=4.0, size=d * (d - 1) // 2))
-            coords, _ = NP.reduce_mod_lattice(g)
-            again, _ = NP.reduce_mod_lattice(
-                NP.UnitriangularElement.from_coords(d, coords.values))
-            assert np.abs(coords.values - again.values).max() <= 1e-12
+        dims_2_to_5 = {2: 625, 3: 625, 4: 625, 5: 625}
+        dims_2_to_4 = {2: 834, 3: 833, 4: 833}
+
+        def values(n, d, scale):
+            return rng.normal(scale=scale, size=(n, d * (d - 1) // 2))
+
+        for d, n in dims_2_to_5.items():  # exp(log b) = b^1 = b
+            v = values(n, d, 1.0)
+            back = G.powers(G.compile_powers(v, d), d, np.ones(n))
+            assert np.abs(G.entries(back, d) - v).max() <= 1e-12
+        for d, n in dims_2_to_5.items():  # b^(s+t) = b^s b^t
+            polys = G.compile_powers(values(n, d, 1.0), d)
+            s, t = rng.normal(scale=3.0, size=(2, n))
+            lhs = G.powers(polys, d, DD.add(DD.from_float(s), DD.from_float(t)))
+            rhs = G.product(d, G.powers(polys, d, s), G.powers(polys, d, t))
+            assert np.abs(G.entries(lhs, d) - G.entries(rhs, d)).max() <= 1e-12
+        for d, n in dims_2_to_4.items():  # reduce(g gamma) = reduce(g)
+            g = G.elements(values(n, d, 4.0), d)
+            gam = G.elements(rng.integers(-3, 4, size=(n, d * (d - 1) // 2)).astype(float), d)
+            assert np.abs(G.reduce(g, d) - G.reduce(G.product(d, g, gam), d)).max() <= 1e-12
+        for d, n in dims_2_to_5.items():  # reduce(reduce(g)) = reduce(g)
+            coords = G.reduce(G.elements(values(n, d, 4.0), d), d)
+            assert np.abs(G.reduce(G.elements(coords, d), d) - coords).max() <= 1e-12
 
 
 def test_criterion_7_checker_truth_table():

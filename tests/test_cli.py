@@ -3,6 +3,9 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -186,6 +189,20 @@ class TestDrivers:
         assert rc == 0
         assert "min_cinfty_norm" in (out.read_text())
 
+    def test_non_commuting_single_block_runs(self, tmp_path):
+        """Two generators of one group that do not commute: the orbit is
+        b_1^(a_1(n)) b_2^(a_2(n)) x, with no commuting hypothesis."""
+        p = tmp_path / "non_commuting.json"
+        p.write_text(json.dumps({
+            "group": {"dim": 3}, "generators": [["phi", "sqrt2", 0], ["pi", "e", "1/3"]],
+            "functions": ["t^{3/2}", "t*log(t)"], "base_point": ["1/3", "2/5", "3/7"]}))
+        out = tmp_path / "out.csv"
+        for argv in (["orbit", "--N", "100"], ["weyl", "--N", "1e3,1e4", "--m", "1,0"],
+                     ["obstruction", "--N", "1e3", "--Mmax", "2"]):
+            assert cli.main([argv[0], str(p), *argv[1:], "--out", str(out)]) == 0, argv
+            rows = out.read_text().strip().splitlines()
+            assert len(rows) == {"orbit": 101, "weyl": 7, "obstruction": 4}[argv[0]]
+
     def test_emit_plot(self, torus_config, tmp_path):
         out = tmp_path / "weyl.csv"
         rc = cli.main(["weyl", torus_config, "--N", "1000,2000",
@@ -246,6 +263,23 @@ class TestDeterminism:
         assert "beyond the precision cap" in str(caught[0].message)
 
 
+BAD_ENTRIES = {"foo": "foo", "1/0": "1/0", "1e999": "1e999",
+               "NaN": float("nan"), "Infinity": float("inf")}  # the last two as JSON literals
+BAD_INPUTS = {
+    **{f"generator {k}": ({"generators": [[v]]}, ["weyl"]) for k, v in BAD_ENTRIES.items()},
+    **{f"base_point {k}": ({"base_point": [v]}, ["weyl"]) for k, v in BAD_ENTRIES.items()},
+    "--N inf": ({}, ["weyl", "--N", "inf"]),
+    "--N 1e3:inf:decade": ({}, ["weyl", "--N", "1e3:inf:decade"]),
+    "--N abc:1:decade": ({}, ["weyl", "--N", "abc:1:decade"]),
+    "orbit --N nan": ({}, ["orbit", "--N", "nan"]),
+    "average --grid 1e3:inf:decade": ({}, ["average", "--grid", "1e3:inf:decade"]),
+    "N_grid 1e3:inf:decade": ({"N_grid": "1e3:inf:decade"}, ["average"]),
+    "N_grid abc": ({"N_grid": "abc"}, ["discrepancy"]),
+    **{f"window gamma {k}": ({"window": {"gamma": v}}, ["obstruction", "--N", "1e3"])
+       for k, v in BAD_ENTRIES.items() if k != "1e999"},  # "1e999" parses as a rational gamma
+}
+
+
 class TestExitCodes:
     def test_config_schema_is_valid(self):
         jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
@@ -290,6 +324,17 @@ class TestExitCodes:
         assert cli.main([argv[0], torus_config, *argv[1:]]) == cli.EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("change,argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+    def test_bad_entries_and_grids(self, tmp_path, change, argv, capsys):
+        """Malformed or non-finite generator and base-point entries, and grids
+        that are no finite numbers."""
+        doc = json.loads((INSTANCES / "torus_boshernitzan.json").read_text())
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**doc, **change}))
+        assert cli.main([argv[0], str(p), *argv[1:]]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("N", ["0", "-3"])
     def test_orbit_needs_positive_N(self, torus_config, tmp_path, N, capsys):
@@ -378,3 +423,33 @@ def test_traced_benchmark_names_resolve():
     from nilorbit.ddmath import DD
     for op in names["DD_OPS"]:
         assert callable(getattr(DD, op)), op
+
+
+_DISCREPANCY = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import nilorbit.cli as cli
+argv = ["discrepancy", "instances/pointwise_dependent.json", "--N", "1e4"]
+rc = cli.main(argv + ["--out", sys.argv[1]])
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"rc": rc, "peak_kb": peak_kb, "rc_grid8": cli.main(argv + ["--grid", "8"])}))
+"""
+
+
+def test_default_discrepancy_grid_fits_the_cell_budget(tmp_path):
+    """On 9 coordinates the default grid is 5 (5^9 cells, within 2^22), where
+    8 boxes per axis took an 8^9-cell histogram and about 2.2 GB; an explicit
+    --grid 8 exits 3.  The child's address space is capped at 1 GiB, so a
+    regression fails at its first large allocation."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "d.csv"
+    proc = subprocess.run([sys.executable, "-c", _DISCREPANCY, str(out)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rc"] == 0 and result["peak_kb"] < 300 * 1024, result
+    assert out.read_text().splitlines()[1].startswith("10000,box_discrepancy_g5,")
+    assert result["rc_grid8"] == cli.EXIT_PRECONDITION
+    assert "above the budget" in proc.stderr and "Traceback" not in proc.stderr

@@ -12,112 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp
 
-from nilorbit import cli, hardy as H, nilpotent as NP, orbits as O
+from mp_oracle import TOL, check_rows, circular, make_doc, oracle_coords
+from nilorbit import cli, orbits as O
 from nilorbit.ddmath import DD, U2, two_sum
 
 ROOT = Path(__file__).resolve().parent.parent
-PREC = 400
-TOL = 1e-9  # circular coordinate error mod 1
-MP_CONSTANTS = {
-    "sqrt2": lambda: mp.sqrt(2), "sqrt3": lambda: mp.sqrt(3), "sqrt5": lambda: mp.sqrt(5),
-    "phi": lambda: (1 + mp.sqrt(5)) / 2, "pi": lambda: mp.pi, "e": lambda: mp.e,
-}
-
-
-def _mp_value(v):
-    if isinstance(v, str) and v in MP_CONSTANTS:
-        return MP_CONSTANTS[v]()
-    q = Fraction(str(v))
-    return mp.mpf(q.numerator) / q.denominator
-
-
-def _mp_exponent(text: str, n: int):
-    total = mp.mpf(0)
-    for t in H.parse(text).terms:
-        v = _mp_value(t.coeff) * (MP_CONSTANTS[t.const]() if t.const else 1)
-        v *= mp.mpf(n) ** (mp.mpf(t.power.numerator) / t.power.denominator)
-        total += v * mp.log(n) ** t.logpow
-    return total
-
-
-def _mp_unipotent(entries, d):
-    g = mp.eye(d)
-    for (i, j), v in zip(NP.coordinate_order(d), entries):
-        g[i, j] = _mp_value(v)
-    return g
-
-
-def _mp_power(entries, d, a):
-    """b^a = exp(a log b) by the finite series of a unipotent matrix."""
-    u = _mp_unipotent(entries, d) - mp.eye(d)
-    log, power = mp.zeros(d, d), mp.eye(d)
-    for k in range(1, d):
-        power = power * u
-        log += power * (mp.mpf((-1) ** (k + 1)) / k)
-    out, power = mp.eye(d), mp.eye(d)
-    for k in range(1, d):
-        power = power * log * (a / k)
-        out += power
-    return out
-
-
-def _mp_reduce(g, d):
-    """Coordinates of g mod the integer lattice, cleared in coordinate order.
-    An entry within 2^-300 of an integer is that integer: such entries are
-    exact integers that 400-bit rounding may leave just below."""
-    for i, j in NP.coordinate_order(d):
-        m = mp.floor(g[i, j])
-        if g[i, j] - m > 1 - mp.mpf(2) ** -300:
-            m += 1
-        for r in range(i + 1):
-            g[r, j] -= m * g[r, i]
-    return [g[i, j] for i, j in NP.coordinate_order(d)]
-
-
-def oracle_coords(doc: dict, n: int) -> list[float]:
-    """Reduced coordinates of b_1^(a_1(n)) ... b_k^(a_k(n)) x, factor-major."""
-    dim = doc["group"]["dim"]
-    blocks = doc["group"].get("blocks", [dim])
-    base = doc.get("base_point", [0] * sum(b * (b - 1) // 2 for b in blocks))
-    floor = doc.get("floor_mode") == "floor"
-    out, pos = [], 0
-    with mp.workprec(PREC):
-        for bi, d in enumerate(blocks):
-            m = d * (d - 1) // 2
-            gens = range(len(doc["generators"])) if len(blocks) == 1 else [bi]
-            g = mp.eye(d)
-            for gi in gens:
-                a = _mp_exponent(doc["functions"][gi], n)
-                g = g * _mp_power(doc["generators"][gi], d, mp.floor(a) if floor else a)
-            g = g * _mp_unipotent(base[pos:pos + m], d)
-            out.extend(float(c) for c in _mp_reduce(g, d))
-            pos += m
-    return out
-
-
-def _circular(a, b) -> float:
-    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
-    return float(np.minimum(d, 1.0 - d).max())
-
-
-def _check_rows(doc: dict, n0: int, n1: int, indices) -> float:
-    """Worst oracle error over ``indices`` of the engine chunk [n0, n1]."""
-    ns, coords, horiz = O.OrbitEngine(cli.build_orbit_config(doc)).samples(n0, n1)
-    worst = 0.0
-    for n in indices:
-        row = coords[n - n0]
-        assert ((0.0 <= row) & (row < 1.0)).all(), (n, row)
-        err = _circular(row, oracle_coords(doc, n))
-        assert err <= TOL, (n, err, row.tolist())
-        worst = max(worst, err)
-    return worst
-
-
-def _doc(dim, generators, functions, base, **extra):
-    return {"group": {"dim": dim}, "generators": generators, "functions": functions,
-            "base_point": base, **extra}
 
 
 def test_entry_polynomials_on_a_dd_variable():
@@ -150,49 +50,64 @@ def test_carry_at_lattice_discontinuities():
     ns = [2 * k * k for k in range(10, 101)]
     ns_all, coords, _ = O.OrbitEngine(cli.build_orbit_config(HEIS_PAIR)).samples(1, max(ns))
     for n in ns:
-        assert _circular(coords[n - 1], oracle_coords(HEIS_PAIR, n)) <= TOL, n
+        assert circular(coords[n - 1], oracle_coords(HEIS_PAIR, n)) <= TOL, n
     assert coords[287].tolist()[2] == pytest.approx(0.941, abs=1e-3)  # n = 288
 
 
 def test_heisenberg_irrational_entries_with_base_point_near_1e6():
-    doc = _doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"])
+    doc = make_doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"])
     rng = np.random.default_rng(1)
     picks = sorted(CHUNK15 + int(i) for i in rng.choice(O.CHUNK, 40, replace=False))
-    assert _check_rows(doc, CHUNK15, CHUNK15 + O.CHUNK - 1, picks) > 0.0
+    assert check_rows(doc, CHUNK15, CHUNK15 + O.CHUNK - 1, picks) > 0.0
 
 
 def test_4x4_block_with_base_point():
     """In 4x4 blocks (0,2) is a column of (2,3)'s update before (0,2) itself
     is reduced, so that column entry is a full-size DD value."""
-    doc = _doc(4, [["phi", "sqrt2", "e", "1/3", "pi", "sqrt5"]], ["t^{5/4}"],
-               ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"])
-    order = NP.coordinate_order(4)
+    doc = make_doc(4, [["phi", "sqrt2", "e", "1/3", "pi", "sqrt5"]], ["t^{5/4}"],
+                   ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"])
+    order = O.coordinate_order(4)
     (blk,) = O.OrbitEngine(cli.build_orbit_config(doc)).blocks
     assert order.index((2, 3)) < order.index((0, 2)) and 0 in blk.steps[order.index((2, 3))][1]
     n0 = 1 + 2 * O.CHUNK
-    _check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1637))
+    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1637))
 
 
 def test_commuting_generators_fold_base_into_last():
-    doc = _doc(3, [["phi", 0, "sqrt2"], ["sqrt3", 0, "1/3"]], ["t^{3/2}", "t*log(t)"],
-               ["1/3", "2/5", "3/7"])
+    """The powers are multiplied in order, the base point folded into the
+    last one, whether the generators commute or not."""
+    doc = make_doc(3, [["phi", 0, "sqrt2"], ["sqrt3", 0, "1/3"]], ["t^{3/2}", "t*log(t)"],
+                   ["1/3", "2/5", "3/7"])
     engine = O.OrbitEngine(cli.build_orbit_config(doc))
     (blk,) = engine.blocks
     assert len(blk.gens) == 2 and (1, 2) in blk.gens[1][1] and (1, 2) not in blk.gens[0][1]
     n0 = 1 + O.CHUNK
-    _check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1999))
+    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1999))
+    # b_1 b_2 != b_2 b_1: (0,2) of the commutator is phi e - sqrt2 pi, and in
+    # 4x4 the pair differs in (0,2), (1,3) and (0,3)
+    non_commuting = [
+        make_doc(3, [["phi", "sqrt2", 0], ["pi", "e", "1/3"]], ["t^{3/2}", "t*log(t)"],
+                 ["1/3", "2/5", "3/7"]),
+        make_doc(4, [["sqrt2", "sqrt3", 0, "1/5", 0, 0], [0, "pi", "e", 0, "1/7", 0]],
+                 ["t^{5/4}", "t*log(t)"], ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"]),
+    ]
+    n0 = 1 + 3 * O.CHUNK
+    for doc in non_commuting:
+        for mode in ("real", "floor"):
+            check_rows(dict(doc, floor_mode=mode), n0, n0 + O.CHUNK - 1,
+                       range(n0, n0 + O.CHUNK, 4001))
 
 
 def test_double_kernel_same_reduction_path():
-    doc = _doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"],
-               precision="double")
+    doc = make_doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"],
+                   precision="double")
     cfg = cli.build_orbit_config(doc)
     engine = O.OrbitEngine(cfg)
     assert engine.K is O.KERNELS["double"]
     ns, coords, _ = engine.samples(1, 2000)
     assert ((0.0 <= coords) & (coords < 1.0)).all()
     for n in range(1, 2001, 37):
-        assert _circular(coords[n - 1], oracle_coords(doc, n)) <= 1e-5, n
+        assert circular(coords[n - 1], oracle_coords(doc, n)) <= 1e-5, n
 
 
 def test_single_index_equals_chunk_row_on_seeded_config():

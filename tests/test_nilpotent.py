@@ -1,187 +1,189 @@
+"""The group law of the orbit engine's unitriangular arithmetic: products
+(``_block_product``), real powers from the compiled entry polynomials, the
+nilpotent log (``_log_dd``) and the lattice reduction (``_reduce_block``),
+checked on arrays of elements."""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from nilorbit import nilpotent as NP
-
-
-def rand_element(rng, d, scale=2.0):
-    m = np.eye(d)
-    for i, j in NP.coordinate_order(d):
-        m[i, j] = rng.normal(scale=scale)
-    return NP.UnitriangularElement(m)
+from engine_group import compile_powers, elements, entries, powers, product, reduce
+from mp_oracle import PREC, circular, mp_log
+from nilorbit import orbits as O
+from nilorbit.ddmath import DD
 
 
-def rand_lattice(rng, d, span=3):
-    m = np.eye(d)
-    for i, j in NP.coordinate_order(d):
-        m[i, j] = float(rng.integers(-span, span + 1))
-    return NP.UnitriangularElement(m)
+def rand_values(rng, n, d, scale=2.0):
+    return rng.normal(scale=scale, size=(n, d * (d - 1) // 2))
+
+
+def rand_lattice(rng, n, d, span=3):
+    return rng.integers(-span, span + 1, size=(n, d * (d - 1) // 2)).astype(np.float64)
 
 
 class TestMultiply:
     def test_identity(self):
         rng = np.random.default_rng(0)
-        g = rand_element(rng, 4)
-        assert np.allclose(NP.multiply(g, NP.UnitriangularElement.identity(4)).mat, g.mat)
+        v = rand_values(rng, 5, 4)
+        g, one = elements(v, 4), elements(np.zeros_like(v), 4)
+        assert np.array_equal(entries(product(4, g, one), 4), v)
+        assert np.array_equal(entries(product(4, one, g), 4), v)
 
     def test_heisenberg_composition(self):
-        g = NP.UnitriangularElement.from_coords(3, [1.5, 2.5, 0.0])
-        h = NP.UnitriangularElement.from_coords(3, [0.25, 4.0, 1.0])
-        gh = NP.multiply(g, h)
-        assert gh.mat[0, 2] == 0.0 + 1.0 + 1.5 * 4.0
+        gh = product(3, elements([1.5, 2.5, 0.0], 3), elements([0.25, 4.0, 1.0], 3))
+        assert entries(gh, 3).tolist() == [[1.75, 6.5, 0.0 + 1.0 + 1.5 * 4.0]]
 
     def test_inverse(self):
+        """g g^(-1) = I, the inverse as the power s = -1."""
         rng = np.random.default_rng(1)
-        g = rand_element(rng, 5)
-        assert np.allclose(NP.multiply(g, NP.inverse(g)).mat, np.eye(5), atol=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            NP.multiply(NP.UnitriangularElement.identity(3),
-                        NP.UnitriangularElement.identity(4))
+        v = rand_values(rng, 20, 5)
+        inv = powers(compile_powers(v, 5), 5, -np.ones(20))
+        assert np.abs(entries(product(5, elements(v, 5), inv), 5)).max() <= 1e-12
 
     def test_associativity_randomized(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            d = int(rng.integers(2, 6))
-            g, h, k = (rand_element(rng, d) for _ in range(3))
-            lhs = NP.multiply(NP.multiply(g, h), k).mat
-            rhs = NP.multiply(g, NP.multiply(h, k)).mat
+        for d in range(2, 6):
+            g, h, k = (elements(rand_values(rng, 50, d), d) for _ in range(3))
+            lhs = entries(product(d, product(d, g, h), k), d)
+            rhs = entries(product(d, g, product(d, h, k)), d)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestExpLog:
     def test_series_terminates(self):
-        X = NP.LieAlgebraElement(np.array([[0., 1, 0], [0, 0, 1], [0, 0, 0]]))
-        e = NP.exp(X)
-        assert (e.mat[0, 1], e.mat[1, 2], e.mat[0, 2]) == (1.0, 1.0, 0.5)
+        """b = exp(X) for X with ones on the superdiagonal: the entry
+        polynomials of b^s = exp(sX) end at degree d - 1 = 2."""
+        (poly,) = compile_powers([1.0, 1.0, 0.5], 3)
+        coeffs = {k: [None if c is None else float(c) for c in cs] for k, cs in poly.items()}
+        assert coeffs == {(0, 1): [None, 1.0], (1, 2): [None, 1.0], (0, 2): [None, None, 0.5]}
 
     def test_log_identity(self):
-        assert np.all(NP.log(NP.UnitriangularElement.identity(4)).mat == 0)
+        assert O._log_dd({}, 4) == {}
+        assert compile_powers(np.zeros(6), 4) == [{}]
 
     def test_roundtrip_randomized(self):
+        """log b against the mpmath series, and exp(log b) = b^1 = b."""
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            d = int(rng.integers(2, 7))
-            X = NP.LieAlgebraElement(np.triu(rng.normal(size=(d, d)), 1))
-            back = NP.log(NP.exp(X))
-            assert np.abs(back.mat - X.mat).max() <= 1e-12
+        for d in range(2, 7):
+            values = rand_values(rng, 100, d, scale=1.0)
+            for v in values[:20]:
+                lam = O._log_dd({k: O.as_entry(float(x))
+                                 for k, x in zip(O.coordinate_order(d), v)}, d)
+                with mp.workprec(PREC):
+                    ref = mp_log(v.tolist(), d)
+                    for (i, j) in O.coordinate_order(d):
+                        got = float(lam[(i, j)]) if (i, j) in lam else 0.0
+                        assert abs(got - float(ref[i, j])) <= 1e-12
+            back = entries(powers(compile_powers(values, d), d, np.ones(len(values))), d)
+            assert np.abs(back - values).max() <= 1e-12
 
 
 class TestPowerReal:
     def test_unit_power(self):
         rng = np.random.default_rng(4)
-        b = rand_element(rng, 4)
-        assert np.abs(NP.power_real(b, 1.0).mat - b.mat).max() < 1e-12
+        v = rand_values(rng, 1, 4)
+        poly = compile_powers(v, 4)
+        assert np.abs(entries(powers(poly, 4, np.ones(1)), 4) - v).max() < 1e-12
+        assert np.abs(entries(powers(poly, 4, np.zeros(1)), 4)).max() == 0.0
 
     def test_heisenberg_symbolic_oracle(self):
         # for b with (1,2)=(2,3)=1, (1,3)=0: log b has (1,3) = -1/2, so
         # b^s = exp(s log b) has (1,3) = s^2/2 - s/2
-        b = NP.UnitriangularElement.from_coords(3, [1.0, 1.0, 0.0])
-        for s in (0.5, 2.0, -1.25, 7.75):
-            bs = NP.power_real(b, s)
-            assert bs.mat[0, 1] == pytest.approx(s, abs=1e-13)
-            assert bs.mat[1, 2] == pytest.approx(s, abs=1e-13)
-            assert bs.mat[0, 2] == pytest.approx(s * s / 2 - s / 2, abs=1e-12)
+        s = np.array([0.5, 2.0, -1.25, 7.75])
+        bs = entries(powers(compile_powers([1.0, 1.0, 0.0], 3), 3, s), 3)
+        assert bs[:, 0] == pytest.approx(s, abs=1e-13)
+        assert bs[:, 1] == pytest.approx(s, abs=1e-13)
+        assert bs[:, 2] == pytest.approx(s * s / 2 - s / 2, abs=1e-12)
 
     def test_integer_power_consistency(self):
+        """b^m from the entry polynomials against b (or b^(-1)) multiplied |m| times."""
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = int(rng.integers(2, 5))
-            b = rand_element(rng, d, scale=1.0)
+            v = rand_values(rng, 1, d, scale=1.0)
             m = int(rng.integers(-6, 7))
-            assert np.abs(NP.power_real(b, m).mat - NP.power_int(b, m).mat).max() <= 1e-12
+            poly = compile_powers(v, d)
+            step = powers(poly, d, np.full(1, -1.0 if m < 0 else 1.0))
+            acc = elements(np.zeros_like(v), d)
+            for _ in range(abs(m)):
+                acc = product(d, acc, step)
+            got = entries(powers(poly, d, np.full(1, float(m))), d)
+            assert np.abs(got - entries(acc, d)).max() <= 1e-12
 
     def test_one_parameter_subgroup(self):
+        """b^(s+t) = b^s b^t, the sum s + t exact in DD."""
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            d = int(rng.integers(2, 6))
-            b = rand_element(rng, d, scale=1.0)
-            s, t = rng.normal(scale=3.0, size=2)
-            lhs = NP.power_real(b, s + t).mat
-            rhs = NP.multiply(NP.power_real(b, s), NP.power_real(b, t)).mat
-            assert np.abs(lhs - rhs).max() <= 1e-12
+        for d in range(2, 6):
+            polys = compile_powers(rand_values(rng, 25, d, scale=1.0), d)
+            s, t = rng.normal(scale=3.0, size=(2, 25))
+            lhs = powers(polys, d, DD.add(DD.from_float(s), DD.from_float(t)))
+            rhs = product(d, powers(polys, d, s), powers(polys, d, t))
+            assert np.abs(entries(lhs, d) - entries(rhs, d)).max() <= 1e-12
 
 
 class TestReduce:
     def test_worked_example(self):
-        g = NP.UnitriangularElement.from_coords(3, [2.3, 0.7, 0.0])
-        coords, gamma = NP.reduce_mod_lattice(g)
-        assert np.allclose(coords.values, [0.3, 0.7, 0.0])
+        assert np.allclose(reduce(elements([2.3, 0.7, 0.0], 3), 3), [[0.3, 0.7, 0.0]])
 
     def test_lattice_element(self):
-        g = NP.UnitriangularElement.from_coords(3, [2.0, 3.0, 5.0])
-        coords, gamma = NP.reduce_mod_lattice(g)
-        assert np.all(coords.values == 0)
-        assert np.allclose(g.mat @ gamma, np.eye(3))  # gamma = g^{-1}
+        assert np.all(reduce(elements([2.0, 3.0, 5.0], 3), 3) == 0)
 
     def test_witness(self):
+        """The reduced point r lies in [0, 1) and in g's coset: g^(-1) r is
+        an integer matrix, the lattice witness."""
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            d = int(rng.integers(2, 6))
-            g = rand_element(rng, d, scale=5.0)
-            coords, gamma = NP.reduce_mod_lattice(g)
-            assert np.all(np.abs(np.tril(gamma, -1)) == 0) and np.all(np.diag(gamma) == 1)
-            red = g.mat @ gamma
-            vals = np.array([red[i, j] for i, j in NP.coordinate_order(d)])
-            assert np.allclose(vals, coords.values, atol=1e-12)
-            assert np.all(vals >= -1e-12) and np.all(vals < 1 + 1e-12)
+        for d in range(2, 6):
+            values = rand_values(rng, 25, d, scale=5.0)
+            r = reduce(elements(values, d), d)
+            assert np.all(r >= 0) and np.all(r < 1)
+            witness = entries(product(d, powers(compile_powers(values, d), d, -np.ones(25)),
+                                      elements(r, d)), d)
+            assert np.abs(witness - np.round(witness)).max() <= 1e-12
 
     def test_brute_force_small_witness(self):
         # cross-check the elementary reduction against search over small gamma
-        g = NP.UnitriangularElement.from_coords(3, [1.4, -0.6, 0.9])
-        coords, _ = NP.reduce_mod_lattice(g)
-        best = None
-        for a in range(-3, 4):
-            for b in range(-3, 4):
-                for c in range(-3, 4):
-                    gam = NP.UnitriangularElement.from_coords(3, [a, b, c])
-                    m = NP.multiply(g, gam).mat
-                    vals = np.array([m[0, 1], m[1, 2], m[0, 2]])
-                    if np.all(vals >= 0) and np.all(vals < 1):
-                        best = vals
-        assert best is not None and np.allclose(best, coords.values)
+        grid = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        g = elements(np.repeat([[1.4, -0.6, 0.9]], len(grid), axis=0), 3)
+        m = entries(product(3, g, elements(grid.astype(np.float64), 3)), 3)
+        inside = m[np.all((m >= 0) & (m < 1), axis=1)]
+        assert len(inside) == 1
+        assert np.allclose(inside[0], reduce(elements([1.4, -0.6, 0.9], 3), 3)[0])
 
     def test_right_invariance_randomized(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            d = int(rng.integers(2, 5))
-            g = rand_element(rng, d, scale=4.0)
-            gam = rand_lattice(rng, d)
-            a, _ = NP.reduce_mod_lattice(g)
-            b, _ = NP.reduce_mod_lattice(NP.multiply(g, gam))
-            assert np.abs(a.values - b.values).max() <= 1e-12
+        for d in range(2, 5):
+            g = elements(rand_values(rng, 50, d, scale=4.0), d)
+            gam = elements(rand_lattice(rng, 50, d), d)
+            a, b = reduce(g, d), reduce(product(d, g, gam), d)
+            assert np.abs(a - b).max() <= 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            d = int(rng.integers(2, 6))
-            g = rand_element(rng, d, scale=4.0)
-            coords, _ = NP.reduce_mod_lattice(g)
-            again, _ = NP.reduce_mod_lattice(
-                NP.UnitriangularElement.from_coords(d, coords.values))
-            assert np.abs(coords.values - again.values).max() <= 1e-12
+        for d in range(2, 6):
+            coords = reduce(elements(rand_values(rng, 50, d, scale=4.0), d), d)
+            again = reduce(elements(coords, d), d)
+            assert np.abs(coords - again).max() <= 1e-12
 
 
 class TestHorizontal:
+    """The first d - 1 reduced coordinates, the superdiagonal mod 1, are the
+    projection to the horizontal torus."""
+
     def test_identity(self):
-        assert np.all(NP.horizontal_projection(NP.UnitriangularElement.identity(4)) == 0)
+        assert np.all(reduce(elements(np.zeros(6), 4), 4)[:, :3] == 0)
 
     def test_heisenberg(self):
-        g = NP.UnitriangularElement.from_coords(3, [1.25, -0.5, 9.0])
-        assert np.allclose(NP.horizontal_projection(g), [0.25, 0.5])
+        assert np.allclose(reduce(elements([1.25, -0.5, 9.0], 3), 3)[0, :2], [0.25, 0.5])
 
     def test_homomorphism(self):
         rng = np.random.default_rng(10)
-        for _ in range(200):
-            d = int(rng.integers(2, 6))
-            g, h = rand_element(rng, d), rand_element(rng, d)
-            lhs = NP.horizontal_projection(NP.multiply(g, h))
-            rhs = (NP.horizontal_projection(g) + NP.horizontal_projection(h)) % 1.0
-            diff = np.abs(lhs - rhs)
-            assert np.minimum(diff, 1 - diff).max() <= 1e-12
+        for d in range(2, 6):
+            g, h = (elements(rand_values(rng, 50, d), d) for _ in range(2))
+            lhs = reduce(product(d, g, h), d)[:, :d - 1]
+            rhs = reduce(g, d)[:, :d - 1] + reduce(h, d)[:, :d - 1]
+            assert circular(lhs, rhs) <= 1e-12
 
 
 class TestHaarInvariance:
@@ -190,26 +192,10 @@ class TestHaarInvariance:
         # re-reduce; cell counts stay flat (chi^2 with generous 5-sigma slack)
         rng = np.random.default_rng(11)
         d, n, grid = 3, 20000, 4
-        g = rand_element(rng, d, scale=1.5)
-        cells = np.zeros((grid,) * 3, dtype=int)
-        for _ in range(n):
-            x = NP.UnitriangularElement.from_coords(d, rng.random(3))
-            y, _ = NP.reduce_mod_lattice(NP.multiply(g, x))
-            idx = tuple(np.minimum((y.values * grid).astype(int), grid - 1))
-            cells[idx] += 1
+        g = elements(np.repeat(rand_values(rng, 1, d, scale=1.5), n, axis=0), d)
+        y = reduce(product(d, g, elements(rng.random((n, 3)), d)), d)
+        cells = O.histogram_counts(y, grid)
         k = cells.size
         expected = n / k
         chi2 = float(((cells - expected) ** 2 / expected).sum())
         assert chi2 < (k - 1) + 5 * np.sqrt(2 * (k - 1))
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(12)
-        g = rand_element(rng, 4)
-        back = NP.UnitriangularElement.deserialize(g.serialize())
-        assert np.all(back.mat == g.mat)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            NP.UnitriangularElement.deserialize("3;1.0")

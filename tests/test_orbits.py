@@ -7,8 +7,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
-from nilorbit import hardy as H, nilpotent as NP, orbits as O, windows as W
+from mp_oracle import PREC, circular, make_doc, mp_reduce, mp_unipotent, oracle_coords
+from nilorbit import cli, hardy as H, orbits as O, windows as W
 from nilorbit.ddmath import Double2
 
 E = O.as_entry
@@ -34,13 +36,6 @@ PAIR_CFG = O.OrbitConfig(
 
 
 class TestConfig:
-    def test_commuting_required_in_combined_mode(self):
-        with pytest.raises(H.PreconditionError, match="commute"):
-            O.OrbitConfig(dim=3, blocks=(3,),
-                          generators=((E(1), E(0), E(0)), (E(0), E(1), E(0))),
-                          functions=(H.parse("t"), H.parse("t^{1/2}")),
-                          base_point=(E(0), E(0), E(0)))
-
     def test_negative_logpow_rejected(self):
         with pytest.raises(H.PreconditionError, match="log"):
             torus_cfg("phi", fn="t*log(t)^{-1}")
@@ -66,28 +61,21 @@ class TestOrbitPoint:
 
     def test_integer_power_oracle(self):
         # floor mode at n=4 gives exponent 8; compare against b multiplied
-        # out eight times in the scalar group
-        b = NP.UnitriangularElement.from_coords(3, [1.0, 1.0, 0.0])
-        x = NP.UnitriangularElement.from_coords(3, [0.25, 0.125, 0.5])
-        want, _ = NP.reduce_mod_lattice(NP.multiply(NP.power_int(b, 8), x))
+        # out eight times in mpmath
+        with mp.workprec(PREC):
+            g = mp_unipotent([1, 1, 0], 3) ** 8 * mp_unipotent(["1/4", "1/8", "1/2"], 3)
+            want = [float(c) for c in mp_reduce(g, 3)]
         cfg = heis_cfg(1, 1, "t^{3/2}", base=("1/4", "1/8", "1/2"),
                        floor_mode=O.FloorMode.FLOOR)
         s = O.orbit_point(cfg, 4)
-        assert np.abs(s.coords - want.values).max() < 1e-12
+        assert np.abs(s.coords - want).max() < 1e-12
 
     def test_engine_matches_scalar_path(self):
-        from nilorbit.constants import REGISTRY
-
-        phi = REGISTRY["phi"].as_float()
-        r2 = REGISTRY["sqrt2"].as_float()
-        cfg = heis_cfg("phi", "sqrt2", "t^{3/2}", base=("1/4", "1/8", "1/2"))
-        b = NP.UnitriangularElement.from_coords(3, [phi, r2, 0.0])
-        x = NP.UnitriangularElement.from_coords(3, [0.25, 0.125, 0.5])
-        ns, coords, horiz = O.OrbitEngine(cfg).samples(50, 60)
+        """Each engine row against the mpmath oracle, one index at a time."""
+        doc = make_doc(3, [["phi", "sqrt2", 0]], ["t^{3/2}"], ["1/4", "1/8", "1/2"])
+        ns, coords, horiz = O.OrbitEngine(cli.build_orbit_config(doc)).samples(50, 60)
         for i, n in enumerate(range(50, 61)):
-            ref, _ = NP.reduce_mod_lattice(NP.multiply(NP.power_real(b, n ** 1.5), x))
-            diff = np.abs(ref.values - coords[i])
-            assert np.minimum(diff, 1 - diff).max() < 1e-9
+            assert circular(coords[i], oracle_coords(doc, n)) < 1e-9
 
     def test_index_must_be_positive(self):
         with pytest.raises(H.PreconditionError):
@@ -189,6 +177,12 @@ class TestChunkedMean:
 
 
 class TestDiscrepancy:
+    def test_default_grid_within_the_cell_budget(self):
+        assert [O.default_grid_res(d) for d in (1, 2, 3, 6, 9, 22)] == [16, 16, 8, 8, 5, 2]
+        assert all(O.default_grid_res(d) ** d <= O.MAX_CELLS for d in range(1, 23))
+        with pytest.raises(H.PreconditionError, match="budget"):
+            O.discrepancy_series(torus_cfg("phi"), [10], 1 + O.MAX_CELLS)
+
     def test_single_sample(self):
         assert O.box_discrepancy(np.array([[0.0]]), 2) == 0.5
 
