@@ -119,30 +119,34 @@ def comp_horner(coeffs, J, x, prod=two_prod, x_lo=None):
     (not Fast2Sum: where the sum nearly cancels, the error sum can be the
     larger) joins the two.  A DD variable passes its low word as ``x_lo``;
     the error Horner then also carries acc x_lo, leaving out only the
-    second-order terms.
+    second-order terms.  Each coeffs[j] is read once, highest order first,
+    so ``coeffs`` may build its pairs as they are read.
     """
     K = len(coeffs) - 1
-    t = coeffs[K][0]
+    t, c = coeffs[K]
     if J < K:
         t = t * x
         for j in range(K - 1, J, -1):
             t += coeffs[j][0]
             t *= x
-        acc, c = two_sum(coeffs[J][0], t)
-        c += coeffs[J][1]
+        hi, lo = coeffs[J]
+        acc, c = two_sum(hi, t)
+        c += lo
     else:
-        acc, c = t, coeffs[K][1]
+        acc = t
     for j in range(J - 1, -1, -1):
         p, pi = prod(acc, x)
         if x_lo is not None:
             pi += acc * x_lo
-        if coeffs[j] is None:
+        cj = coeffs[j]
+        if cj is None:
             acc = p
         else:
-            acc, sigma = two_sum(p, coeffs[j][0])
+            acc, sigma = two_sum(p, cj[0])
             pi += sigma
-            pi += coeffs[j][1]
-        c = c * x + pi
+            pi += cj[1]
+        c = c * x
+        c += pi
     return two_sum(acc, c)
 
 
@@ -206,6 +210,21 @@ class _DDKernel:
         return quick_two_sum(p1, p2)
 
     @staticmethod
+    def add_prod(x, a, b):
+        """x + a b for a sum read only through ``frac_float``, as a pair
+        that need not be normalized: the TwoProd of the high words plus the
+        cross terms, one TwoSum into x's high word, and the low words summed
+        in float.  Its error, a few u^2 (|x| + |a b|), is of the order of
+        add(x, mul(a, b)), in about two thirds of the operations."""
+        p, e = two_prod(a[0], b[0])
+        e += a[0] * b[1]
+        e += a[1] * b[0]
+        s, t = two_sum(x[0], p)
+        t += e
+        t += x[1]
+        return s, t
+
+    @staticmethod
     def mul_float(x, c):
         p1, p2 = two_prod(x[0], c)
         p2 = p2 + x[1] * c
@@ -264,8 +283,12 @@ class _DDKernel:
         """
         fh = np.floor(x[0])
         dh, e = quick_two_sum(-fh, x[0])
-        fl = np.where(dh == 0.0, np.floor(x[1]), 0.0)
-        return quick_two_sum(fh, fl), quick_two_sum(dh - fl, e + x[1])
+        e += x[1]
+        if (dh == 0.0).any():  # an integral hi: lo has its own floor
+            fl = np.where(dh == 0.0, np.floor(x[1]), 0.0)
+            return quick_two_sum(fh, fl), quick_two_sum(dh - fl, e)
+        # with fl = 0 the same bits: fh + 0 (a -0 floor becomes +0), dh - 0 = dh
+        return (fh + 0.0, np.zeros_like(fh)), quick_two_sum(dh, e)
 
     @staticmethod
     def frac(x):
@@ -276,7 +299,8 @@ class _DDKernel:
     def frac_float(x):
         """The float of the fractional part, in [0, 1] (1 where it rounds up):
         hi - floor(hi) is exact unless -1 < hi < 0, adding lo rounds once,
-        and a negative sum (integral hi, lo < 0) wraps by one more floor."""
+        and a sum outside [0, 1) (integral hi and lo < 0, or a pair from
+        ``add_prod`` whose lo exceeds 1) wraps by one more floor."""
         f = (x[0] - np.floor(x[0])) + x[1]
         return f - np.floor(f)
 
@@ -286,8 +310,9 @@ class _DDKernel:
         :func:`comp_horner`) at x, with x's high word split once for all."""
         prod = two_prod_by(x[0])
         vals = (comp_horner(c, len(c) - 1, x[0], prod, x[1]) for c in polys)
-        return [(np.broadcast_to(h, x[0].shape), np.broadcast_to(lo, x[0].shape))
-                for h, lo in vals]
+        shape = x[0].shape
+        return [(h, lo) if h.shape == shape else
+                (np.broadcast_to(h, shape), np.broadcast_to(lo, shape)) for h, lo in vals]
 
     @staticmethod
     def exp(x):
@@ -376,6 +401,10 @@ class _FPKernel:
     @staticmethod
     def ldexp(x, k):
         return np.ldexp(x, k)
+
+    @staticmethod
+    def add_prod(x, a, b):
+        return x + a * b
 
     @staticmethod
     def npow(x, n: int):

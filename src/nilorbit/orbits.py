@@ -16,12 +16,19 @@ Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
 anchor grid (:class:`nilorbit.windows.AnchoredTaylor`), for every n in
 [1, 2^52): one set of coefficients per window, a compensated Horner sum per
 sample, and a certified error bound per sample, which also decides when a
-floor needs exact evaluation.  Polynomials with rational coefficients are
-exact under both kernels, from their integer numerators.  An exponent
-depends on n alone, so every chunking of the index range yields the same
-bits.  The lattice reduction is planned per block at build time and computes
-only what later steps read (a floor, a DD fractional part, or just the float
-coordinate); the coordinates are written straight into the sample array.
+floor needs exact evaluation.  The window coefficients are built once per
+octave of window length, inside :meth:`OrbitEngine.exponents` at their first
+use, and the last few octaves stay cached; the functions with the same
+anchor grid share each block's window layout.  Polynomials with rational
+coefficients are exact under both kernels, from their integer numerators.
+An exponent depends on n alone, so every chunking of the index range yields
+the same bits.  The lattice reduction is planned per block at build time and
+computes only what later steps read (a floor, a DD fractional part, or just
+the float coordinate); an update into a leaf, an entry read only as that
+float, is one fused kernel op (``add_prod``), and a NaN coordinate raises
+PrecisionCapError.  The coordinates are written straight into the rows of a
+(coords_dim, n) buffer, which each reduction writes and each statistic reads
+contiguously; the (n, coords_dim) arrays handed on are views of it.
 
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
@@ -36,7 +43,8 @@ samples (Weyl sums, window and multiple ergodic averages) runs through
 a grid point inside the chunk sums its prefix, and the partials are merged
 along a fixed binary tree, so a result is bit-identical for any worker count
 and whether its N is computed alone or along a grid.  The discrepancy adds
-integer cell counts, split at each grid N, so it is exact in any order.
+integer cell counts, split at each grid N, so it is exact in any order; its
+box statistic runs in place, one slab of the grid at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -63,7 +71,7 @@ from .hardy import (
     is_rational_polynomial,
     rational_polynomial_numerator,
 )
-from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window
+from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window, window_layout
 
 CHUNK = 1 << 16
 DEFAULT_N_CAP = 10 ** 7
@@ -239,9 +247,10 @@ class _Block:
     clearing (i, j) by its floor m subtracts m (r, i) from (r, j) for every
     nonzero column entry (r, i), r < i.  ``steps`` holds, per coordinate,
     (key, the rows r of its updates, whether a later step reads its reduced
-    value as a column entry), or None for an entry that stays zero.  Only an
-    entry with updates needs its floor, and only a later column entry needs
-    its fractional part in DD; the others need just its float.
+    value as a column entry, whether each update's target (r, j) is a leaf),
+    or None for an entry that stays zero.  Only an entry with updates needs
+    its floor, and only a later column entry needs its fractional part in
+    DD; the others, the leaves, need just its float.
     """
 
     __slots__ = ("d", "gens", "steps")
@@ -268,6 +277,12 @@ class _Block:
                 (i, j), rows = step
                 step.append((i, j) in read)
                 read.update((r, i) for r in rows)
+        # a leaf needs no floor: it has no updates and no later step reads it
+        leaves = {step[0] for step in steps if step is not None and not step[1] and not step[2]}
+        for step in steps:
+            if step is not None:
+                (i, j), rows, _ = step
+                step.append(tuple((r, j) in leaves for r in rows))
         self.steps = [step and tuple(step) for step in steps]
 
 
@@ -292,35 +307,27 @@ class OrbitEngine:
                     if float(v) != 0.0}
             gens = [(gi, g) for gi, g in enumerate(cfg.generators)
                     if len(cfg.blocks) == 1 or gi == bi]
-            self.blocks.append(_Block(self.K, b, gens, base))
+            # an entry beyond the DD range compiles to NaN, which the reduction refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.blocks.append(_Block(self.K, b, gens, base))
             self.horiz_cols.extend(range(pos, pos + b - 1))
             pos += m
 
     # -- per-chunk computation ----------------------------------------------
 
-    def windows(self, ns: np.ndarray) -> Callable:
-        """The Taylor windows of the indices ns under dd, by function index.
-
-        Each is built at its first lookup, so inside :meth:`exponents`, and
-        the layouts are shared by the functions with the same anchor bits.
-        """
-        layouts = {}
-        return cache(lambda gi: self.taylor[gi].windows(ns, layouts))
-
-    def exponents(self, ns: np.ndarray, windows: Optional[Callable] = None, start: int = 0):
+    def exponents(self, ns: np.ndarray):
         """a_i(n) for each function at the indices ns, floored in floor mode.
 
-        Under dd, ``windows`` (from :meth:`windows`) are those of a longer
-        index array whose entries from ``start`` on are ns; by default those
-        of ns.  Polynomials with rational coefficients are exact: f(n) = P/D in
+        Polynomials with rational coefficients are exact: f(n) = P/D in
         integers, floored as P // D, or else the exact quotient plus the
         rest r/D rounded to the kernel (an integer value stays exact).  Under
-        dd a value whose certified error margin reaches an integer is floored
-        by :func:`hardy.floor_at`.
+        dd the others come from the functions' Taylor windows, whose tables
+        are built here at their first use; a value whose certified error
+        margin reaches an integer is floored by :func:`hardy.floor_at`.
         """
         K = self.K
         floor = self.cfg.floor_mode is FloorMode.FLOOR
-        windows = self.windows(ns) if windows is None else windows
+        layouts = {}  # by anchor bits s, shared by the functions with that s
         out = []
         for gi, f in enumerate(self.cfg.functions):
             if is_rational_polynomial(f):
@@ -334,7 +341,10 @@ class OrbitEngine:
                 s = np.broadcast_to(evaluate_kernel(f, K, K.from_int_array(ns)), ns.shape)
                 out.append(K.floor(s) if floor else s)
             else:
-                s, bound = self.taylor[gi].evaluate(ns, windows(gi), start, floor)
+                t = self.taylor[gi]
+                if t.s not in layouts:
+                    layouts[t.s] = window_layout(ns, t.s)
+                s, bound = t.evaluate(ns, floor, layouts[t.s])
                 if floor:
                     s, frac = K.floor_frac(s)
                     frac = K.to_float(frac)
@@ -375,41 +385,51 @@ class OrbitEngine:
 
     def _reduce_block(self, E: dict, steps: list, out: np.ndarray):
         """Lattice reduction of one block's entries E, in place; writes the
-        reduced coordinates, floats in [0, 1), into the columns of ``out``.
+        reduced coordinates, floats in [0, 1), into the rows of ``out``.
 
         Where a fractional part rounds to 1, the coordinate is 0 and the
         floor one more, before the column updates use it, so that the
-        dependent entries stay consistent with it.
+        dependent entries stay consistent with it.  A NaN coordinate (an
+        entry beyond float range) raises PrecisionCapError.  An update into
+        a leaf, an entry read only as the float of its fractional part, is
+        one ``add_prod``.
         """
         K = self.K
         for col, step in enumerate(steps):
             x = None if step is None else E.get(step[0])
             if x is None:
-                out[:, col] = 0.0
+                out[col] = 0.0
                 continue
-            (i, j), rows, is_column = step
+            (i, j), rows, is_column, leaves = step
             if rows or is_column:
                 m, frac = K.floor_frac(x)
                 f = K.to_float(frac)
-            else:  # a leaf: only the float of its fractional part
+            else:  # a leaf
                 f = K.frac_float(x)
-            carry = f >= 1.0
-            if carry.any():
+            if not f.max(initial=0.0) < 1.0:  # a fractional part rounded to 1, or a NaN
+                if np.isnan(f).any():
+                    raise PrecisionCapError(
+                        "a coordinate is not a finite number: an entry is beyond float range")
+                carry = f >= 1.0
                 f = np.where(carry, 0.0, f)
                 if rows or is_column:
                     one = K.from_float(carry.astype(np.float64))
                     m, frac = K.add(m, one), K.sub(frac, one)
-            out[:, col] = f
+            out[col] = f
             if is_column:
                 E[(i, j)] = frac
             if rows:
                 neg_m = K.neg(m)
-                for r in rows:
+                for r, leaf in zip(rows, leaves):
                     column = E.get((r, i))
                     if column is not None:
                         prev = E.get((r, j))
-                        upd = K.mul(neg_m, column)
-                        E[(r, j)] = upd if prev is None else K.add(prev, upd)
+                        if prev is None:
+                            E[(r, j)] = K.mul(neg_m, column)
+                        elif leaf:
+                            E[(r, j)] = K.add_prod(prev, neg_m, column)
+                        else:
+                            E[(r, j)] = K.add(prev, K.mul(neg_m, column))
 
     def check_range(self, n1: int) -> None:
         """Refuse indices up to n1 beyond the precision cap (unless allowed)
@@ -431,26 +451,29 @@ class OrbitEngine:
         """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz).
 
         The exponents are evaluated one BLOCK at a time, just before that
-        block's coordinates, from Taylor windows built once for the range.
+        block's coordinates.  The coordinates fill the rows of a
+        (coords_dim, n) buffer, so that each is written and read
+        contiguously; coords and horiz are (n, ·) views of it and of its
+        horizontal rows.
         """
         self.check_range(n1)
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
-        windows = self.windows(ns)
-        coords = np.empty((len(ns), self.cfg.coords_dim))
+        buf = np.empty((self.cfg.coords_dim, len(ns)))
         for b in range(0, len(ns), BLOCK):
             part = slice(b, b + BLOCK)
-            self._coordinates(self.exponents(ns[part], windows, b), coords[part])
-        return ns, coords, coords[:, self.horiz_cols]
+            self._coordinates(self.exponents(ns[part]), buf[:, part])
+        return ns, buf.T, buf[self.horiz_cols].T
 
     def _coordinates(self, expo, out):
-        """Write the reduced coordinates of one block of exponents into ``out``."""
-        col = 0
+        """Write the reduced coordinates of one block of exponents into the
+        rows of ``out``."""
+        row = 0
         for blk in self.blocks:
             mats = [self._generator_matrix(keys, polys, expo[gi]) for gi, keys, polys in blk.gens]
             E = mats[0] if len(mats) == 1 else self._block_product(mats, blk.d)
             width = len(blk.steps)
-            self._reduce_block(E, blk.steps, out[:, col:col + width])
-            col += width
+            self._reduce_block(E, blk.steps, out[row:row + width])
+            row += width
 
 
 def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
@@ -616,11 +639,15 @@ def window_average(cfg: OrbitConfig, test: TestFunction | dict, N: int,
 
 
 def cell_indices(samples: np.ndarray, grid_res: int) -> np.ndarray:
-    """The C-order index of each sample's cell in [0,1)^dim on a grid_res^dim grid."""
+    """The C-order index of each sample's cell in [0,1)^dim on a grid_res^dim
+    grid; a column is read contiguously when samples is the (n, dim) view of
+    a (dim, n) buffer, as :meth:`OrbitEngine.samples` returns it."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     flat = np.zeros(len(samples), dtype=np.int64)  # one column at a time
+    scaled, idx = np.empty(len(samples)), np.empty(len(samples), dtype=np.int64)
     for col in samples.T:
-        idx = (col * grid_res).astype(np.int64)
+        np.multiply(col, grid_res, out=scaled)
+        np.copyto(idx, scaled, casting="unsafe")  # truncation, as astype
         np.clip(idx, 0, grid_res - 1, out=idx)
         flat *= grid_res
         flat += idx
@@ -644,17 +671,32 @@ def _box_volumes(g: int, dim: int) -> np.ndarray:
 
 
 def discrepancy_from_histogram(hist: np.ndarray, total: int) -> float:
-    """Max over anchored grid boxes of |empirical mass - Lebesgue volume|."""
+    """Max over anchored grid boxes of |empirical mass - Lebesgue volume|.
+
+    The box counts are cumulative sums along each axis, taken in place on one
+    int64 copy of hist by slice adds.  The maximum is taken one slab of
+    g^(dim-1) boxes at a time, the slab's volumes the outer product of the
+    cached (dim-1)-dimensional volumes with the last axis, so no float array
+    of the grid's size is made.
+    """
     if total <= 0:
         raise PreconditionError("empty sample set")
     c = hist.astype(np.int64)
-    for ax in range(hist.ndim):
-        np.cumsum(c, axis=ax, out=c)
-    d = c / total
-    # the last outer product is not cached: a g^dim array kept between calls
-    # would stay resident while the orbit is sampled and raise the peak memory
-    d -= _box_volumes.__wrapped__(hist.shape[0], hist.ndim)
-    return float(np.max(np.abs(d, out=d)))
+    g, dim = hist.shape[0], hist.ndim
+    for ax in range(dim):
+        view = c.reshape(g ** ax, g, -1)
+        for i in range(1, g):
+            view[:, i] += view[:, i - 1]
+    axis = _box_volumes(g, 1)
+    if dim == 1:
+        return float(np.max(np.abs(c / total - axis)))
+    lower = _box_volumes(g, dim - 1)
+    worst = 0.0
+    for i in range(g):
+        d = c[i] / total
+        d -= np.multiply.outer(lower[i], axis)
+        worst = max(worst, float(np.max(np.abs(d, out=d))))
+    return worst
 
 
 def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -> float:
@@ -678,7 +720,7 @@ def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -
 
 
 # cells of a discrepancy histogram: 32 MiB of int64 counts, and
-# discrepancy_from_histogram makes three more arrays of that size
+# discrepancy_from_histogram makes one more array of that size
 MAX_CELLS = 1 << 22
 
 
@@ -714,15 +756,14 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
         raise PreconditionError("discrepancy needs N >= 1")
     hist = np.zeros((grid_res,) * cfg.coords_dim, dtype=np.int64)
 
-    def reduce(ns, coords, horiz):  # occupied cells and their counts, split after each N held
-        cuts = [0, *(N - int(ns[0]) + 1 for N in targets if ns[0] <= N <= ns[-1]), len(ns)]
-        return [np.unique(cell_indices(coords[a:b], grid_res), return_counts=True)
-                for a, b in zip(cuts, cuts[1:])]
+    def reduce(ns, coords, horiz):  # the samples' cells, split after each N held
+        cuts = [N - int(ns[0]) + 1 for N in targets if ns[0] <= N <= ns[-1]]
+        return np.split(cell_indices(coords, grid_res), cuts)
 
     found: list[float] = []  # at each of the targets
     for pieces in iter_sample_chunks(cfg, 1, targets[-1], reduce, workers):
-        for i, (cells, counts) in enumerate(pieces):
-            hist.reshape(-1)[cells] += counts
+        for i, cells in enumerate(pieces):
+            np.add.at(hist.reshape(-1), cells, 1)
             if i < len(pieces) - 1:
                 found.append(discrepancy_from_histogram(hist, targets[len(found)]))
     return [found[targets.index(N)] for N in grid]

@@ -14,13 +14,15 @@ toward c = 1.
 The same expansion evaluates the orbit engine's dd exponents:
 :class:`AnchoredTaylor` replaces f on short windows of a fixed dyadic grid by
 its Taylor polynomial, with a certified bound on the error at every n in
-[1, 2^52).
+[1, 2^52).  Its window coefficients are built once per octave of window
+length, at the first index that needs them, and the last few are cached.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -142,7 +144,13 @@ def order_for_power(f: HardyExpr, gamma: Fraction) -> Optional[int]:
 
     Consecutive classes tile [lower(min_order), 1) exactly (the upper bound
     of order k is the lower bound of order k+1), so at most one k matches.
+    A gamma outside (0, 1) is refused: no class holds it, and for gamma >= 1
+    the ascent over k would never end.
     """
+    if not 0 < gamma < 1:
+        shown = str(gamma) if len(str(gamma)) <= 24 else f"{str(gamma)[:12]}..."
+        raise PreconditionError(f"window exponent {shown} is outside (0, 1): "
+                                "no sub-linear window t^gamma")
     p = (gamma, Fraction(0))
     k = min_order(f)
     b = class_bounds(f, k)
@@ -225,19 +233,28 @@ def taylor_window(f: HardyExpr, N: int, k: int, L_at_N: float) -> TaylorWindow:
 
     Past the certified t from which |f^(k+1)| decreases, the Lagrange
     remainder over [N, N + L] is at most |f^(k+1)(N)| L^(k+1) / (k+1)!; the
-    operation refuses below that threshold instead of guessing.
+    operation refuses below that threshold instead of guessing, and where a
+    coefficient or that bound overflows a float.
     """
     if k < 1:
         raise PreconditionError("window order must be at least 1")
-    coeffs = [evaluate_dd(derivative(f, j), N) * Fraction(1, math.factorial(j))
-              for j in range(k + 1)]
+    try:
+        coeffs = [evaluate_dd(derivative(f, j), N) * Fraction(1, math.factorial(j))
+                  for j in range(k + 1)]
+    except OverflowError:
+        coeffs = None
     g = derivative(f, k + 1)
     threshold = 1.0 if g.is_zero else decreasing_abs_threshold(g)
     if N < threshold:
         raise PreconditionError(
             f"N={N} below certified monotonicity threshold {threshold:.6g} for |f^({k + 1})|")
-    bound = abs(float(evaluate_dd(derivative(f, k + 1), N))) * L_at_N ** (k + 1) \
-        / math.factorial(k + 1)
+    try:
+        bound = abs(float(evaluate_dd(g, N))) * L_at_N ** (k + 1) / math.factorial(k + 1)
+    except OverflowError:
+        bound = math.inf
+    if coeffs is None or not math.isfinite(bound):
+        raise PreconditionError(
+            f"the order-{k} window over L(N)={L_at_N:.6g} at N={N} overflows a float")
     return TaylorWindow(N, tuple(coeffs), bound)
 
 
@@ -252,6 +269,7 @@ _MAX_ORDER = 30
 _PROBE_OCTAVES = (1, 4, 16)
 _TABLE_BITS = 120
 TAYLOR_END = 2 ** 52  # n, h and v stay exact floats below this
+_CACHED_OCTAVES = 4      # window tables an AnchoredTaylor keeps, by window length
 
 
 def _ratios_to_dd(ratios) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +292,7 @@ def _rational_power(x: int, a: Fraction) -> tuple[int, int]:
         P, Q = x ** num, 1
     else:
         P, Q = int_root(x ** num << (den * _TABLE_BITS), den), 1 << _TABLE_BITS
-    return (Q, P) if a < 0 else (P, Q)
+    return (Q, P) if a.numerator < 0 else (P, Q)
 
 
 def _atanh_inv(q: int, one: int) -> int:
@@ -336,32 +354,45 @@ def _two_prod_short(a, v):
     return x, ah
 
 
-class _Layout:
-    """The windows of a call's indices on the grid of anchor bits s, shared by
-    the functions with that s: per run of consecutive indices with the same
-    anchor m = k 2^p, its k, p and index range; per index, v = (n - m)/2^p.
-    Below 2^(s+1), p = 0: one-point windows with k = n and v = 0."""
+def window_layout(ns: np.ndarray, s: int):
+    """The windows of the indices ns on the grid of anchor bits s: per index,
+    v = (n - m)/2^p for its anchor m = k 2^p; per run of equal anchors, its
+    p, k and length; and the TwoProd by v.  Any int64 array in [1, 2^52)
+    will do: a run may be one index."""
+    x = ns.astype(np.float64)
+    p = np.frexp(x)[1]
+    p -= s + 1
+    np.maximum(p, 0, out=p)
+    v = np.ldexp(x, -p)  # n / 2^p, k + v: exact below 2^53
+    k = np.floor(v)
+    v -= k
+    m = np.ldexp(k, p)
+    new = np.empty(len(ns), dtype=bool)
+    new[:1] = True
+    np.not_equal(m[1:], m[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    p = p[starts]
+    # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
+    prod = two_prod if p.max(initial=0) > 26 else _two_prod_short
+    return v, p, k[starts].astype(np.int64), np.diff(starts, append=len(ns)), prod
 
-    __slots__ = ("k", "p", "starts", "ends", "v", "prod")
 
-    def __init__(self, ns: np.ndarray, s: int):
-        # H = 2^p; exact below 2^53
-        p = np.maximum(np.frexp(ns.astype(np.float64))[1] - 1 - s, 0)
-        m = (ns >> p) << p
-        self.starts = np.flatnonzero(np.diff(m, prepend=-1))
-        self.ends = np.append(self.starts[1:], len(ns))
-        self.p = p[self.starts]
-        self.k = m[self.starts] >> self.p
-        self.v = np.ldexp((ns - m).astype(np.float64), -p)
-        # v has at most p significant bits, so below 2^27 its Dekker split is (v, 0)
-        self.prod = two_prod if p.max(initial=0) > 26 else _two_prod_short
+class _Repeated:
+    """The coefficient pairs (r_j hi, r_j lo or None beyond J) of
+    :func:`ddmath.comp_horner` from per-run words, each row repeated over
+    the runs when the Horner reads it, so that it is read while in cache."""
 
-    def runs(self, b: int, e: int):
-        """The runs that meet entries [b, e), as a slice, and how many of
-        those entries each covers: np.repeat of a per-run array over them
-        gives its per-entry values, which gathers none."""
-        a0, a1 = np.searchsorted(self.starts, b, side="right") - 1, np.searchsorted(self.starts, e)
-        return slice(a0, a1), np.minimum(self.ends[a0:a1], e) - np.maximum(self.starts[a0:a1], b)
+    __slots__ = ("words", "count", "K", "J")
+
+    def __init__(self, words, count, K: int, J: int):
+        self.words, self.count, self.K, self.J = words, count, K, J
+
+    def __len__(self):
+        return self.K + 1
+
+    def __getitem__(self, j: int):
+        lo = np.repeat(self.words[self.K + 1 + j], self.count) if j <= self.J else None
+        return np.repeat(self.words[j], self.count), lo
 
 
 def _horner_bound(mags, J):
@@ -414,11 +445,18 @@ class AnchoredTaylor:
     Graillat, Langlois and Louvet 2009), about half the flops of a DD Horner
     at the same accuracy, and the small orders J+1..K as a float64 one.
     v has at most e - s significant bits, so for e - s <= 26 its Dekker split
-    is v itself and each TwoProd splits only the running sum.  The layout of
-    an index range (anchors, runs, v) is computed once per s and shared by the
-    functions with that s (:meth:`windows`); :meth:`evaluate` takes any
-    stretch of the range.  Each r_j is computed once per anchor, vectorized
-    over a range's anchors, from
+    is v itself and each TwoProd splits only the running sum.
+
+    The windows are built once per octave: at the first n with window length
+    2^p, the r_j of all 2^s anchors of that length (and of length 2^(p+1),
+    in the same vectorized pass) are computed and kept (:meth:`_octave`);
+    the one-point windows below 2^(s+1) form one such table.  Only the last
+    _CACHED_OCTAVES window lengths stay cached, behind a lock that no Horner
+    sum holds.  :meth:`evaluate` takes any int64 index array: its layout
+    (:func:`window_layout`, which the functions with the same s may share)
+    finds the runs of indices with the same anchor, gathers each run's
+    column of its octave's table and repeats it over the run.  Each r_j is
+    computed from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
     are shared across orders and built from the per-octave tables of k^a,
@@ -439,7 +477,8 @@ class AnchoredTaylor:
     def __init__(self, f: HardyExpr):
         self.f = f
         self._lock = threading.Lock()
-        self._tables = None
+        self._tables = None  # the integer-built tables of k^a, 2^(r/q), 1/k and ln k
+        self._cache = OrderedDict()  # p -> the windows of length 2^p, see _octave
         orders = [f]
         for j in range(1, _MAX_ORDER + 2):
             orders.append(differentiate(orders[-1]).scaled(Fraction(1, j)))
@@ -495,48 +534,68 @@ class AnchoredTaylor:
                 break
         return plan
 
-    def windows(self, ns: np.ndarray, layouts: Optional[dict] = None):
-        """The windows of the int64 indices ns, each in [1, 2^52): their
-        layout and, per window, the DD coefficients r_j and the error bound.
-        ``layouts`` keeps the layout by s for the other functions of a call."""
-        layouts = {} if layouts is None else layouts
-        if self.s not in layouts:
-            layouts[self.s] = _Layout(np.asarray(ns, dtype=np.int64), self.s)
-        layout = layouts[self.s]
-        return (layout, *self._coefficients(layout.k, layout.p))
+    def evaluate(self, ns: np.ndarray, with_bound: bool = True, layout=None):
+        """(DD value pair, absolute error bound) of f at the int64 indices ns,
+        any of them in [1, 2^52), in any order; without ``with_bound`` the
+        bound is None.  ``layout`` is window_layout(ns, s), if already made."""
+        v, p, k, count, prod = window_layout(ns, self.s) if layout is None else layout
+        rows = self.K + self.J + 2 + with_bound  # the words read: r_0..r_K hi, r_0..r_J lo, bound
+        lo_p, hi_p = (int(p.min()), int(p.max())) if len(p) else (0, 0)
+        if lo_p == hi_p:
+            words = self._octave(lo_p, with_bound)[:rows, k - (1 if lo_p == 0 else 1 << self.s)]
+        else:  # the runs of several octaves: gather each octave's columns
+            words = np.empty((rows, len(k)))
+            for q in range(lo_p, hi_p + 1):
+                sel = np.flatnonzero(p == q)
+                if sel.size:
+                    words[:, sel] = self._octave(q, with_bound)[:rows, k[sel] - (
+                        1 if q == 0 else 1 << self.s)]
+        value = comp_horner(_Repeated(words, count, self.K, self.J), self.J, v, prod)
+        return value, np.repeat(words[-1], count) if with_bound else None
 
-    def evaluate(self, ns: np.ndarray, windows=None, start: int = 0, with_bound: bool = True):
-        """(DD value pair, absolute error bound) of f at the int64 indices ns.
-
-        ``windows`` (from :meth:`windows`) are those of a longer index array
-        whose entries from ``start`` on are ns; by default those of ns.
-        Without ``with_bound`` the bound is None.
-        """
-        layout, r, bound = self.windows(ns) if windows is None else windows
-        run, cnt = layout.runs(start, start + len(ns))
-        cb = [(np.repeat(hj[run], cnt), np.repeat(lj[run], cnt) if j <= self.J else None)
-              for j, (hj, lj) in enumerate(r)]
-        value = comp_horner(cb, self.J, layout.v[start:start + len(ns)], layout.prod)
-        return value, np.repeat(bound[run], cnt) if with_bound else None
-
-    def _load_tables(self):
+    def _octave(self, p: int, with_bound: bool) -> np.ndarray:
+        """The windows of length 2^p: for p >= 1 one per anchor k 2^p, k in
+        [2^s, 2^(s+1)), and for p = 0 the one-point windows of every n below
+        2^(s+1).  Row j <= K of the table holds the high word of r_j, row
+        K + 1 + j <= K + J + 1 the low word, and the last row, where a bound
+        was asked for, the error bound.  Built at first use, for p >= 1
+        together with p + 1 in one vectorized pass (the next length an
+        ascending walk needs), and kept for the last _CACHED_OCTAVES lengths."""
         with self._lock:
-            if self._tables is None:
-                self._tables = (
-                    {a: _octaves(_pow_table, self.s, a) for a in self.powers},
-                    {a: _root2_table(a) for a in self.powers if a.denominator > 1},
-                    _octaves(_pow_table, self.s, Fraction(-1)),
-                    _octaves(_ln_table, self.s) if self.max_logpow else None)
-        return self._tables
+            table = self._cache.get(p)
+            if table is None or (with_bound and len(table) == self.K + self.J + 2):
+                if self._tables is None:
+                    self._tables = (
+                        {a: _octaves(_pow_table, self.s, a) for a in self.powers},
+                        {a: _root2_table(a) for a in self.powers if a.denominator > 1},
+                        _octaves(_pow_table, self.s, Fraction(-1)),
+                        _octaves(_ln_table, self.s) if self.max_logpow else None)
+                k = np.arange(1 if p == 0 else 1 << self.s, 2 << self.s)
+                ps = [p] if p == 0 else [p, p + 1]
+                # anchors past the indices asked for may overflow; theirs may not
+                with np.errstate(over="ignore", invalid="ignore"):
+                    coeffs, bound = self._coefficients(np.tile(k, len(ps)),
+                                                       np.repeat(ps, len(k)), with_bound)
+                words = np.array([hj for hj, _ in coeffs] + [lj for _, lj in coeffs[:self.J + 1]]
+                                 + ([bound] if with_bound else []))
+                for i, q in enumerate(ps):
+                    self._cache[q] = words[:, i * len(k):(i + 1) * len(k)]
+                    self._cache.move_to_end(q)
+                while len(self._cache) > _CACHED_OCTAVES:
+                    self._cache.popitem(last=False)
+                table = self._cache[p]
+            self._cache.move_to_end(p)
+        return table
 
-    def _coefficients(self, k, p):
-        """Per anchor m = k 2^p: DD r_0..r_K and the error bound over its window.
+    def _coefficients(self, k, p, with_bound: bool = True):
+        """Per anchor m = k 2^p: DD r_0..r_K and the error bound over its
+        window (None without ``with_bound``).
 
         Errors are tracked in units of u^2: a relative bound per shared
         factor, then an absolute one per order.
         """
         s, K, J = self.s, self.K, self.J
-        pows, root2, inv_k, ln_k = self._load_tables()
+        pows, root2, inv_k, ln_k = self._tables
         idx = k - 1
         M = {}
         for a in self.powers:
@@ -580,6 +639,8 @@ class AnchoredTaylor:
                 ikj = (DD.mul(ikj[0], ik[0]), ikj[1] + ik[1] + MUL_ERR)
             coeffs.append(acc)
             errs.append(err)
+        if not with_bound:
+            return coeffs, None
         w = (1.0 - np.ldexp(1.0, -p)) ** np.arange(K + 1)[:, None]  # v_max^j; 0^0 = 1
         mags = np.array([np.abs(c[0]) for c in coeffs]) * w
         coef = U2 * np.sum(np.array(errs) * w, axis=0)

@@ -72,6 +72,6 @@ def product(d: int, *gs: dict) -> dict:
 def reduce(g: dict, d: int) -> np.ndarray:
     """Fundamental-domain coordinates in [0, 1), one row per element."""
     engine = _engine(d)
-    out = np.empty((len(next(iter(g.values()))[0]), d * (d - 1) // 2))
+    out = np.empty((d * (d - 1) // 2, len(next(iter(g.values()))[0])))  # one row per coordinate
     engine._reduce_block(dict(g), engine.blocks[0].steps, out)
-    return out
+    return out.T

@@ -278,6 +278,17 @@ BAD_INPUTS = {
     **{f"window gamma {k}": ({"window": {"gamma": v}}, ["obstruction", "--N", "1e3"])
        for k, v in BAD_ENTRIES.items() if k != "1e999"},  # "1e999" parses as a rational gamma
 }
+# inputs that parse but are refused: a window exponent outside (0, 1) or one whose
+# Taylor remainder overflows a float, and a generator entry beyond the float range
+REFUSED_INPUTS = {
+    **{f"window gamma {g}": ({"window": {"gamma": g}}, ["obstruction", "--N", "1e3", "--Mmax", "1"],
+                             cli.EXIT_PRECONDITION) for g in ("1e999", "3/2", "1", "99/100")},
+    "generator 1e308, t^2": ({"generators": [[1e308]], "functions": ["t^2"]},
+                             ["weyl", "--N", "100"], cli.EXIT_PRECISION),
+}
+EXIT_CASES = {**{k: (*v, cli.EXIT_CONFIG) for k, v in BAD_INPUTS.items()}, **REFUSED_INPUTS}
+EXIT_PREFIX = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_PRECONDITION: "precondition error: ",
+               cli.EXIT_PRECISION: "precision cap: "}
 
 
 class TestExitCodes:
@@ -325,16 +336,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("change,argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
-    def test_bad_entries_and_grids(self, tmp_path, change, argv, capsys):
+    @pytest.mark.parametrize("change,argv,code", list(EXIT_CASES.values()), ids=list(EXIT_CASES))
+    def test_bad_entries_and_grids(self, tmp_path, change, argv, code):
         """Malformed or non-finite generator and base-point entries, and grids
-        that are no finite numbers."""
+        that are no finite numbers, exit 2; the refused inputs exit 3 or 4.
+        Each runs in a child process with a timeout, so that a hang fails."""
         doc = json.loads((INSTANCES / "torus_boshernitzan.json").read_text())
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({**doc, **change}))
-        assert cli.main([argv[0], str(p), *argv[1:]]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "Traceback" not in err
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "nilorbit.cli", argv[0], str(p), *argv[1:],
+                               "--out", str(tmp_path / "out.csv")],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(EXIT_PREFIX[code]) and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("N", ["0", "-3"])
     def test_orbit_needs_positive_N(self, torus_config, tmp_path, N, capsys):

@@ -65,6 +65,11 @@ def test_floor_frac_exact():
         else:
             assert frac == v - floor, (x[0][i], x[1][i])
     assert DD.frac(x)[0].tobytes() == rh.tobytes()
+    # without an integral hi, floor_frac skips the floor of lo: the same bits
+    keep = x[0] != np.floor(x[0])
+    parts = DD.floor_frac((x[0][keep], x[1][keep]))
+    for got, want in zip((*parts[0], *parts[1]), (fh, fl, rh, rl)):
+        assert got.tobytes() == want[keep].tobytes()
     y = np.array([-2.5, -1e-300, 0.0, 3.75, 2.0 ** 60])
     fl_y, fr_y = FP.floor_frac(y)
     assert fl_y.tolist() == np.floor(y).tolist() and fr_y.tolist() == (y - np.floor(y)).tolist()
@@ -144,3 +149,32 @@ def test_compensated_horner_within_running_error_bound(K, J):
             assert err <= bound[i], (prod.__name__, i, float(err), bound[i])
             worst = max(worst, float(err) / bound[i])
     assert worst > 1e-3  # the sums really do carry rounding error
+
+
+def test_leaf_update_matches_add_of_product():
+    """x - m c as one add_prod, read through frac_float, against DD.add of
+    DD.mul: within 2^-52 mod 1, and within 2^-53 of the exact value; the
+    double kernel's add_prod is plain x + a b, bit for bit."""
+    rng = np.random.default_rng(17)
+    count = 5000
+    x = two_sum(rng.uniform(-1, 1, count) * 2.0 ** rng.integers(-3, 40, count),
+                rng.uniform(-1, 1, count) * 2.0 ** -60)
+    x = two_sum(*x)
+    m = (np.floor(rng.uniform(-1, 1, count) * 2.0 ** rng.integers(0, 30, count)), np.zeros(count))
+    c = two_sum(rng.uniform(-1, 1, count) * 2.0 ** rng.integers(-10, 8, count),
+                rng.uniform(-1, 1, count) * 2.0 ** -62)
+    c = two_sum(*c)
+    neg_m = DD.neg(m)
+    lean = DD.frac_float(DD.add_prod(x, neg_m, c))
+    full = DD.frac_float(DD.add(x, DD.mul(neg_m, c)))
+    for i in range(count):
+        exact = (Fraction(float(x[0][i])) + Fraction(float(x[1][i]))
+                 - Fraction(float(m[0][i])) * (Fraction(float(c[0][i])) + Fraction(float(c[1][i]))))
+        f = float(exact - math.floor(exact))
+        for got, tol in ((lean[i], 2.0 ** -53), (full[i], 2.0 ** -53)):
+            d = abs(got - f) % 1.0
+            assert min(d, 1.0 - d) <= tol, (i, got, f)
+        d = abs(lean[i] - full[i]) % 1.0
+        assert min(d, 1.0 - d) <= 2.0 ** -52, (i, lean[i], full[i])
+    a, b, y = (rng.uniform(-1e6, 1e6, 100) for _ in range(3))
+    assert FP.add_prod(y, a, b).tobytes() == FP.add(y, FP.mul(a, b)).tobytes()

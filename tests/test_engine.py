@@ -98,6 +98,24 @@ def test_commuting_generators_fold_base_into_last():
                        range(n0, n0 + O.CHUNK, 4001))
 
 
+
+@pytest.mark.parametrize("doc", [
+    make_doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"]),
+    make_doc(4, [["phi", "sqrt2", "e", "1/3", "pi", "sqrt5"]], ["t^{5/4}"],
+             ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"]),
+], ids=["3x3", "4x4"])
+def test_leaf_updates_against_the_oracle(doc):
+    """The updates into leaves (entries read only as the float of their
+    fractional part) run as one add_prod; 3x3 and 4x4 blocks with base
+    points stay within the oracle tolerance, past n = 3 * 2^16."""
+    (blk,) = O.OrbitEngine(cli.build_orbit_config(doc)).blocks
+    leaf_updates = [(step[0], r) for step in blk.steps if step is not None
+                    for r, leaf in zip(step[1], step[3]) if leaf]
+    assert leaf_updates
+    n0 = 1 + 3 * O.CHUNK
+    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1013))
+
+
 def test_double_kernel_same_reduction_path():
     doc = make_doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"],
                    precision="double")

@@ -190,6 +190,56 @@ def test_single_index_equals_chunk_row_bit_for_bit():
             assert (s_full[0][n - 1], s_full[1][n - 1]) == (s_sparse[0][j], s_sparse[1][j])
 
 
+
+def _bits(value, bound=None):
+    return (value[0].tobytes(), value[1].tobytes(), None if bound is None else bound.tobytes())
+
+
+@pytest.mark.parametrize("text", ["t^{3/2}", "t*log(t)"])
+def test_octave_tables_serve_any_index_set_bit_for_bit(text):
+    """A whole chunk, single points and sparse unsorted sets straddling
+    2^e - 1 / 2^e, each on a fresh evaluator (so from its own octave tables),
+    give the same values and bounds."""
+    f = H.parse(text)
+    a = 2 ** 20 - O.CHUNK // 2  # the chunk straddles 2^20
+    ns = np.arange(a, a + O.CHUNK, dtype=np.int64)
+    chunk = W.AnchoredTaylor(f).evaluate(ns)
+    rng = np.random.default_rng(3)
+    sparse = np.concatenate([[2 ** 20, 2 ** 20 - 1, a + O.CHUNK - 1, a],
+                             rng.choice(ns, 60, replace=False)])
+    got = W.AnchoredTaylor(f).evaluate(sparse)
+    assert _bits(*got) == _bits((chunk[0][0][sparse - a], chunk[0][1][sparse - a]),
+                                chunk[1][sparse - a])
+    one = W.AnchoredTaylor(f)
+    for n in (2 ** 20 - 1, 2 ** 20, a, 2 ** 12 - 1, 2 ** 12, 7):
+        value, bound = one.evaluate(np.array([n], dtype=np.int64))
+        whole = W.AnchoredTaylor(f).evaluate(np.array([7, 2 ** 12 - 1, 2 ** 12, n, 2 ** 30 + 5],
+                                                       dtype=np.int64))
+        assert _bits(value, bound) == _bits((whole[0][0][3:4], whole[0][1][3:4]), whole[1][3:4])
+        if a <= n < a + O.CHUNK:
+            i = n - a
+            assert _bits(value, bound) == _bits((chunk[0][0][i:i + 1], chunk[0][1][i:i + 1]),
+                                                chunk[1][i:i + 1])
+    # without the bound the values are the same, and a later call with it adds it
+    bare = W.AnchoredTaylor(f)
+    value, bound = bare.evaluate(ns, with_bound=False)
+    assert bound is None and _bits(value) == _bits(chunk[0])
+    assert _bits(*bare.evaluate(ns)) == _bits(*chunk)
+
+
+def test_octave_cache_is_bounded_and_rebuilds_the_same_bits():
+    ev = W.AnchoredTaylor(H.parse("t*log(t)"))
+    probe = np.array([2 ** 14 + 3, 2 ** 15 - 1], dtype=np.int64)
+    first = ev.evaluate(probe)
+    for e in range(1, 23):  # octaves 1..22, each its first and last index and a middle one
+        ns = np.array([2 ** e, 2 ** e + 2 ** (e - 1) // 3, 2 ** (e + 1) - 1], dtype=np.int64)
+        ev.evaluate(ns)
+        assert len(ev._cache) <= W._CACHED_OCTAVES
+    p = int(probe[0]).bit_length() - 1 - ev.s
+    assert p not in ev._cache  # evicted by the walk
+    assert _bits(*ev.evaluate(probe)) == _bits(*first)
+
+
 def test_floor_mode_rows_equal_single_points_across_blocks():
     """Per-block exponents of a floor-mode chunk whose Taylor windows straddle
     the BLOCK boundaries: the rows there, and at the perfect squares (where

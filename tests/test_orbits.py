@@ -212,7 +212,7 @@ class TestDiscrepancy:
         chunked = O.box_discrepancy([xs[:300], xs[300:]], 8)
         assert whole == chunked
 
-    @pytest.mark.parametrize("dim, g", [(1, 16), (3, 8), (6, 8)])
+    @pytest.mark.parametrize("dim, g", [(1, 16), (3, 8), (6, 8), (9, 5)])
     def test_statistic_layer_equals_reference_formulas(self, dim, g):
         """Column-at-a-time cell indices and the in-place box sums give the
         bits of ravel_multi_index and of fresh cumsums over outer volumes."""
