@@ -13,6 +13,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -240,6 +241,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """An output file open for writing; an OSError while it is written is a
+    config error."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def write_csv(path, header: list[str], rows: list[list]) -> None:
     text = ",".join(header) + "\n"
     for row in rows:
@@ -247,7 +259,8 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with _output(path) as fh:
+            fh.write(text)
 
 
 LONG_HEADER = ["N", "statistic", "value"]
@@ -265,7 +278,8 @@ def emit_plot_files(out: str, header: list[str], rows: list[list]) -> None:
                 series.setdefault(name, []).append(f"{_fmt(r[0])} {_fmt(y)}")
     stem = Path(out).with_suffix("")
     for name, lines in series.items():
-        Path(f"{stem}.{name}.xy").write_text("\n".join(lines) + "\n")
+        with _output(f"{stem}.{name}.xy") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -336,13 +350,9 @@ def cmd_orbit(args) -> int:
                        for n, c, h in zip(ns.tolist(), coords.tolist(), horiz.tolist()))
 
     chunks = orbits.iter_sample_chunks(cfg, 1, N, text, args.workers)  # checks N before --out opens
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as sink:
         sink.write(",".join(header) + "\n")
         sink.writelines(chunks)
-    finally:
-        if args.out:
-            sink.close()
     return EXIT_OK
 
 

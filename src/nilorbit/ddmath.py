@@ -33,11 +33,17 @@ Taylor windows built on these bounds, at every n
 (:class:`nilorbit.windows.AnchoredTaylor`).  ``exp``, ``ln`` and
 ``pow_fraction`` carry no certified bound; they serve scalar callers
 (:func:`nilorbit.hardy.evaluate_dd`).
+
+There is no scalar DD arithmetic: a config entry is a :class:`Double2`, a
+plain (hi, lo) kernel pair, and build-time code computes exactly in
+``Fraction`` from :func:`to_fraction` and rounds each result once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -390,17 +396,10 @@ class _FPKernel:
     add = staticmethod(np.add)
     sub = staticmethod(np.subtract)
     neg = staticmethod(np.negative)
-    abs = staticmethod(np.abs)
     mul = staticmethod(np.multiply)
-    mul_float = staticmethod(np.multiply)
     div = staticmethod(np.divide)
     floor = staticmethod(np.floor)
-    exp = staticmethod(np.exp)
     ln = staticmethod(np.log)
-
-    @staticmethod
-    def ldexp(x, k):
-        return np.ldexp(x, k)
 
     @staticmethod
     def add_prod(x, a, b):
@@ -411,15 +410,13 @@ class _FPKernel:
         return np.power(x, n)
 
     @staticmethod
-    def frac(x):
-        return x - np.floor(x)
-
-    @staticmethod
     def floor_frac(x):
         fl = np.floor(x)
         return fl, x - fl
 
-    frac_float = frac
+    @staticmethod
+    def frac_float(x):
+        return x - np.floor(x)
 
     @staticmethod
     def polyval(polys, x):
@@ -430,12 +427,6 @@ class _FPKernel:
                 acc = acc * x if cj is None else acc * x + cj
             vals.append(np.broadcast_to(acc, x.shape))
         return vals
-
-    @staticmethod
-    def pow_fraction(x, a: Fraction):
-        if a.denominator == 1:
-            return np.power(x, a.numerator)
-        return np.power(x, float(a))
 
     @staticmethod
     def pow_fraction_ln(x, a: Fraction, lnx):
@@ -466,85 +457,24 @@ MUL_FLOAT_ERR = 3.0
 KERNELS = {"dd": DD, "double": FP}
 
 
-def _fraction_pair(f: Fraction):
-    hi = float(f)
-    return hi, float(f - Fraction(hi))
-
-
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)  # ln 2 rounded to DD
 _LN2F = LN2[0]
-_INV_FACT = [_fraction_pair(Fraction(1, __import__("math").factorial(j))) for j in range(1, 13)]
+_INV_FACT = [DD.from_fraction(Fraction(1, math.factorial(j))) for j in range(1, 13)]
 # _INV_FACT[j-1] = 1/j!; the expm1 Horner runs highest order first
 
 
-class Double2:
-    """Scalar double-double with operator sugar, wrapping the DD kernel."""
+class Double2(NamedTuple):
+    """A scalar DD value hi + lo, as a config holds it: a kernel pair of
+    Python floats.  It carries no arithmetic; build-time code computes
+    exactly from :func:`to_fraction` and rounds once to DD."""
 
-    __slots__ = ("hi", "lo")
+    hi: float
+    lo: float
 
-    def __init__(self, hi, lo=0.0):
-        self.hi = float(hi)
-        self.lo = float(lo)
 
-    @classmethod
-    def from_pair(cls, p):
-        return cls(float(p[0]), float(p[1]))
-
-    @classmethod
-    def from_fraction(cls, f: Fraction):
-        return cls.from_pair(DD.from_fraction(f))
-
-    def pair(self):
-        return np.float64(self.hi), np.float64(self.lo)
-
-    def __float__(self):
-        return self.hi + self.lo
-
-    def _coerce(self, other):
-        if isinstance(other, Double2):
-            return other
-        if isinstance(other, Fraction):
-            return Double2.from_fraction(other)
-        return Double2(float(other))
-
-    def __add__(self, other):
-        return Double2.from_pair(DD.add(self.pair(), self._coerce(other).pair()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Double2.from_pair(DD.sub(self.pair(), self._coerce(other).pair()))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        return Double2.from_pair(DD.mul(self.pair(), self._coerce(other).pair()))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Double2.from_pair(DD.div(self.pair(), self._coerce(other).pair()))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return Double2(-self.hi, -self.lo)
-
-    def __abs__(self):
-        return Double2(-self.hi, -self.lo) if self.hi < 0 else self
-
-    def __repr__(self):
-        return f"Double2({self.hi!r}, {self.lo!r})"
-
-    def floor(self) -> int:
-        p = DD.floor(self.pair())
-        return int(p[0]) + int(p[1])
-
-    def frac(self) -> "Double2":
-        return Double2.from_pair(DD.frac(self.pair()))
-
-    def nearest_int_distance(self) -> float:
-        f = float(self.frac())
-        return min(f, 1.0 - f)
+def to_fraction(x) -> Fraction:
+    """The exact value hi + lo of a scalar DD pair; OverflowError unless finite."""
+    hi, lo = float(x[0]), float(x[1])
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise OverflowError(f"DD value ({hi!r}, {lo!r}) is not finite")
+    return Fraction(hi) + Fraction(lo)

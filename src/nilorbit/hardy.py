@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .constants import REGISTRY, lookup
-from .ddmath import DD, FP, Double2
+from .ddmath import DD, FP, to_fraction
 
 
 class HardyParseError(ValueError):
@@ -838,9 +838,10 @@ def evaluate(f: HardyExpr, t: float) -> float:
     return float(evaluate_kernel(f, FP, FP.from_float(t)))
 
 
-def evaluate_dd(f: HardyExpr, t: float | Fraction) -> Double2:
+def evaluate_dd(f: HardyExpr, t: float | Fraction) -> Fraction:
+    """The exact value of the DD evaluation at one point; OverflowError if not finite."""
     tt = DD.from_fraction(Fraction(t)) if isinstance(t, (Fraction, int)) else DD.from_float(t)
-    return Double2.from_pair(evaluate_kernel(f, DD, tt))
+    return to_fraction(evaluate_kernel(f, DD, tt))
 
 
 def evaluate_mp(f: HardyExpr, n: int, prec_bits: int):

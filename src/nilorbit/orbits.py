@@ -5,12 +5,13 @@ multiplied in that order with x on the right (the generators need not
 commute), and reduces it to fundamental-domain coordinates, vectorized over
 blocks of n in double-double precision (group entries grow like a(n)^(d-1),
 far beyond float64 once a(n) ~ 1e9).  Since log b is nilpotent, every entry
-of b^s x is a polynomial in s: each generator is compiled once to scalar DD
+of b^s x is a polynomial in s: each generator is compiled once to the
 coefficients of its entry polynomials, the base point folded into those of
-its block's last generator, as b_k^s x.  Several generators on one group are
-multiplied out per sample, in order.  A sample evaluates each entry by the
-compensated Horner scheme of :func:`nilorbit.ddmath.comp_horner`, the DD
-exponent split once per block.
+its block's last generator, as b_k^s x; they are computed exactly in
+Fraction from the DD config entries and rounded once to scalar DD values.
+Several generators on one group are multiplied out per sample, in order.
+A sample evaluates each entry by the compensated Horner scheme of
+:func:`nilorbit.ddmath.comp_horner`, the DD exponent split once per block.
 
 Under dd the exponents a_i(n) come from Taylor windows on a fixed dyadic
 anchor grid (:class:`nilorbit.windows.AnchoredTaylor`), for every n in
@@ -33,7 +34,8 @@ contiguously; the (n, coords_dim) arrays handed on are views of it.
 Statistics on top of the samples: Weyl sums against horizontal characters,
 anchored-box discrepancy against Lebesgue measure, smoothness norms of window
 polynomials in the binomial basis, and the character-obstruction search that
-mirrors the quantitative equidistribution test.
+mirrors the quantitative equidistribution test, its coefficients folded
+exactly and its norms evaluated on DD arrays over blocks of frequencies.
 
 Summation discipline: every statistic is a reduction over fixed-size chunks
 walked by :func:`iter_sample_chunks`, which reduces each chunk where it is
@@ -55,12 +57,12 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ddmath import BLOCK, DD, KERNELS, Double2
+from .ddmath import BLOCK, DD, KERNELS, Double2, to_fraction
 from .hardy import (
     HardyExpr,
     PreconditionError,
@@ -104,14 +106,8 @@ def as_entry(v) -> Double2:
     if isinstance(v, Double2):
         return v
     try:
-        if isinstance(v, str) and v in REGISTRY:
-            x = Double2.from_fraction(REGISTRY[v].as_fraction())
-        elif isinstance(v, (str, Fraction, int)):
-            x = Double2.from_fraction(Fraction(v))
-        else:
-            x = Double2(float(v))
-        if math.isfinite(x.hi):
-            return x
+        f = REGISTRY[v].as_fraction() if isinstance(v, str) and v in REGISTRY else Fraction(v)
+        return Double2(*map(float, DD.from_fraction(f)))  # its DD rounding
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise ValueError(f"entry {v!r} is not a finite number, rational or constant name")
@@ -181,14 +177,16 @@ class OrbitSample:
 # compiled engine
 
 def _log_dd(entries: dict, d: int) -> dict:
-    """Nilpotent matrix log of I + U given U's strict-upper entries."""
-    acc: dict[tuple[int, int], Double2] = {}
-    power = dict(entries)
+    """Nilpotent matrix log of I + U given U's strict-upper entries as DD
+    pairs, exactly in Fraction."""
+    U = {k: to_fraction(v) for k, v in entries.items() if v.hi}
+    acc: dict[tuple[int, int], Fraction] = {}
+    power = U
     sign = 1
     for j in range(1, d):
         for k, v in power.items():
-            acc[k] = acc.get(k, Double2(0)) + v * Fraction(sign, j)
-        power = _mat_mul_strict(power, entries, d)
+            acc[k] = acc.get(k, 0) + v * Fraction(sign, j)
+        power = _mat_mul_strict(power, U, d)
         sign = -sign
         if not power:
             break
@@ -212,21 +210,20 @@ def _mat_mul_strict(A: dict, B: dict, d: int) -> dict:
 
 def _entry_polynomials(entries: Sequence[Double2], d: int, base: dict) -> dict:
     """Entry polynomials of s -> b^s X for the generator b with strict-upper
-    ``entries`` and the base-point matrix X = I + U, U = ``base``: with
-    lam = log b and M_j = lam^j / j!, entry (r, c) is
+    ``entries`` and the base-point matrix X = I + U, U = ``base`` (exact
+    Fractions): with lam = log b and M_j = lam^j / j!, entry (r, c) is
     U[r, c] + sum_{j>=1} s^j (M_j X)[r, c].  Maps each nonzero entry to its
-    coefficients [c_0, c_1, ...], None marking a zero."""
-    lam = _log_dd({k: v for k, v in zip(coordinate_order(d), entries)
-                   if float(v) != 0.0}, d)
-    terms, power = [base], {k: v for k, v in lam.items() if not _is_zero(v)}
+    exact coefficients [c_0, c_1, ...], None marking a zero."""
+    lam = _log_dd(dict(zip(coordinate_order(d), entries)), d)
+    terms, power = [base], {k: v for k, v in lam.items() if v}
     for j in range(1, d):
-        mj = {k: v * Fraction(1, math.factorial(j)) for k, v in power.items()}
+        mj = {k: v / math.factorial(j) for k, v in power.items()}
         mju = _mat_mul_strict(mj, base, d)
-        terms.append({k: mj.get(k, Double2(0)) + mju.get(k, Double2(0)) for k in {*mj, *mju}})
+        terms.append({k: mj.get(k, 0) + mju.get(k, 0) for k in {*mj, *mju}})
         power = _mat_mul_strict(power, lam, d)
     poly = {}
     for key in set().union(*terms):
-        coeffs = [None if _is_zero(t.get(key, Double2(0))) else t[key] for t in terms]
+        coeffs = [t.get(key) or None for t in terms]
         while coeffs and coeffs[-1] is None:
             coeffs.pop()
         if coeffs:
@@ -234,9 +231,14 @@ def _entry_polynomials(entries: Sequence[Double2], d: int, base: dict) -> dict:
     return poly
 
 
-def _const(K, c: Double2):
-    """A scalar kernel value: numpy broadcasts it, and a DD product splits it once."""
-    return c.pair() if K is DD else np.float64(float(c))
+def _const(K, c: Fraction):
+    """An exact coefficient rounded once to a scalar kernel value: numpy
+    broadcasts it, and a DD product splits it once.  One beyond float range
+    becomes NaN, which the reduction refuses."""
+    try:
+        return K.from_fraction(c)
+    except OverflowError:
+        return K.from_float(math.nan)
 
 
 class _Block:
@@ -303,13 +305,11 @@ class OrbitEngine:
         pos = 0
         for bi, b in enumerate(cfg.blocks):
             m = b * (b - 1) // 2
-            base = {k: v for k, v in zip(coordinate_order(b), cfg.base_point[pos:pos + m])
-                    if float(v) != 0.0}
+            base = {k: to_fraction(v) for k, v in zip(coordinate_order(b),
+                                                      cfg.base_point[pos:pos + m]) if v.hi}
             gens = [(gi, g) for gi, g in enumerate(cfg.generators)
                     if len(cfg.blocks) == 1 or gi == bi]
-            # an entry beyond the DD range compiles to NaN, which the reduction refuses
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.blocks.append(_Block(self.K, b, gens, base))
+            self.blocks.append(_Block(self.K, b, gens, base))
             self.horiz_cols.extend(range(pos, pos + b - 1))
             pos += m
 
@@ -454,14 +454,16 @@ class OrbitEngine:
         block's coordinates.  The coordinates fill the rows of a
         (coords_dim, n) buffer, so that each is written and read
         contiguously; coords and horiz are (n, ·) views of it and of its
-        horizontal rows.
+        horizontal rows.  An entry that overflows leaves a NaN coordinate,
+        which the reduction refuses.
         """
         self.check_range(n1)
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
         buf = np.empty((self.cfg.coords_dim, len(ns)))
-        for b in range(0, len(ns), BLOCK):
-            part = slice(b, b + BLOCK)
-            self._coordinates(self.exponents(ns[part]), buf[:, part])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(0, len(ns), BLOCK):
+                part = slice(b, b + BLOCK)
+                self._coordinates(self.exponents(ns[part]), buf[:, part])
         return ns, buf.T, buf[self.horiz_cols].T
 
     def _coordinates(self, expo, out):
@@ -804,7 +806,7 @@ class BinomialPolynomial:
 
     def __post_init__(self):
         c = list(self.coeffs)
-        while len(c) > 1 and _is_zero(c[-1]):
+        while len(c) > 1 and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
 
@@ -813,17 +815,10 @@ class BinomialPolynomial:
         return len(self.coeffs) - 1
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, Double2):
-        return x.hi == 0 and x.lo == 0
-    return x == 0
-
-
 def to_binomial_basis(monomial_coeffs: Sequence) -> BinomialPolynomial:
     """Exact change of basis n^j = sum_i S2(j, i) i! binom(n, i).
 
-    Works on any coefficient type with + and * (Fraction for exactness,
-    Double2 for windowed norms).
+    Works on any coefficient type with + and *; Fraction keeps it exact.
     """
     d = len(monomial_coeffs) - 1
     out = []
@@ -856,9 +851,12 @@ def binomial_to_monomial(p: BinomialPolynomial) -> tuple:
     return tuple(out)
 
 
-def _torus_distance(x) -> float:
-    if isinstance(x, Double2):
-        return x.nearest_int_distance()
+def _torus_distance(x):
+    """Distance to the nearest integer of a Fraction, a float, or a DD pair
+    of arrays (the float of its exact fractional part f, then min(f, 1 - f))."""
+    if isinstance(x, tuple):
+        f = DD.to_float(DD.frac(x))
+        return np.minimum(f, 1.0 - f)
     if isinstance(x, Fraction):
         f = x - math.floor(x)
         return float(min(f, 1 - f))
@@ -866,14 +864,15 @@ def _torus_distance(x) -> float:
     return min(f, 1.0 - f)
 
 
-def cinfty_norm(p: BinomialPolynomial, N: int) -> float:
-    """max over i >= 1 of N^i * distance(a_i, nearest integer)."""
+def cinfty_norm(p: BinomialPolynomial, N: int):
+    """max over i >= 1 of N^i * distance(a_i, nearest integer); an array
+    where coefficients are DD pairs of arrays."""
     if N < 1:
         raise PreconditionError("norm scale N must be >= 1")
     best = 0.0
     for i in range(1, p.degree + 1):
-        best = max(best, float(N) ** i * _torus_distance(p.coeffs[i]))
-    return best
+        best = np.maximum(best, float(N) ** i * _torus_distance(p.coeffs[i]))
+    return best if isinstance(best, np.ndarray) else float(best)
 
 
 # --------------------------------------------------------------------------
@@ -901,12 +900,12 @@ def _poly_shift_coeffs(p: HardyExpr, N: int) -> list[Fraction]:
     return out
 
 
-def generator_horizontal_lifts(cfg: OrbitConfig) -> list[list[Double2]]:
+def generator_horizontal_lifts(cfg: OrbitConfig) -> list[list[Fraction]]:
     """Superdiagonal entries of each generator on the product horizontal
-    torus (zero outside the generator's own block)."""
+    torus, exactly (zero outside the generator's own block)."""
     lifts = []
     for gi, entries in enumerate(cfg.generators):
-        row = [Double2(0)] * cfg.horiz_dim
+        row = [Fraction(0)] * cfg.horiz_dim
         if len(cfg.blocks) > 1:
             d = cfg.blocks[gi]
             offset = sum(b - 1 for b in cfg.blocks[:gi])
@@ -916,7 +915,7 @@ def generator_horizontal_lifts(cfg: OrbitConfig) -> list[list[Double2]]:
         order = coordinate_order(d)
         for (i, j), v in zip(order, entries):
             if j == i + 1:
-                row[offset + i] = v
+                row[offset + i] = to_fraction(v)
         lifts.append(row)
     return lifts
 
@@ -930,6 +929,9 @@ def obstruction_search(cfg: OrbitConfig, window: Optional[WindowPlan], N: int,
     over h in [0, L(N)] and takes its C^inf[L(N)] norm; a large minimum
     certifies that no small character obstructs equidistribution on the
     window.  Sub-fractional parts contribute only constants and are skipped.
+
+    The frequencies run in np.ndindex order, BLOCK at a time as DD arrays,
+    and the first minimum wins; a NaN norm raises PrecisionCapError.
 
     ``window`` may be None only when every function is polynomial plus
     sub-fractional; the interval length then defaults to sqrt(N).
@@ -969,32 +971,36 @@ def obstruction_search(cfg: OrbitConfig, window: Optional[WindowPlan], N: int,
                 mono.append(c)
         vecs.append(list(to_binomial_basis(mono).coeffs))
 
+    # the window polynomial of k has the binomial coefficients sum_l k_l w_lj,
+    # w_lj = sum_i u_il v_ij folded exactly and rounded once
     lifts = generator_horizontal_lifts(cfg)
-    dh = cfg.horiz_dim
-    maxdeg = max(len(v) for v in vecs)
-
-    best = None
+    w = []  # w[j - 1][l], None for a zero
+    for j in range(1, max(len(v) for v in vecs)):
+        exact = [sum(u[l] * v[j] for u, v in zip(lifts, vecs) if j < len(v))
+                 for l in range(cfg.horiz_dim)]
+        w.append([_const(DD, x) if x else None for x in exact])
+    scale = max(1, int(L_at_N))
+    side = 2 * M_max + 1
+    count = side ** cfg.horiz_dim
+    best = (math.inf, None)
     norms = {} if keep_norms else None
-    for flat in np.ndindex(*((2 * M_max + 1,) * dh)):
-        k = tuple(x - M_max for x in flat)
-        if not any(k):
-            continue
-        coeff_per_fn = []
-        for lift in lifts:
-            c = Double2(0)
-            for kj, u in zip(k, lift):
-                if kj:
-                    c = c + u * kj
-            coeff_per_fn.append(c)
-        combined = [Double2(0)] * maxdeg
-        for c, v in zip(coeff_per_fn, vecs):
-            if _is_zero(c):
-                continue
-            for j, a in enumerate(v):
-                combined[j] = combined[j] + a * c
-        norm = cinfty_norm(BinomialPolynomial(tuple(combined)), max(1, int(L_at_N)))
+    for start in range(0, count, BLOCK):  # the frequencies in np.ndindex order
+        flat = np.arange(start, min(start + BLOCK, count))
+        ks = np.array(np.unravel_index(flat, (side,) * cfg.horiz_dim)) - M_max
+        kf = ks.astype(np.float64)
+        coeffs = [0]  # the constant term does not enter the norm
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves NaN, refused below
+            for wj in w:
+                terms = [DD.mul_float(x, kl) for kl, x in zip(kf, wj) if x is not None]
+                coeffs.append(reduce(DD.add, terms) if terms else 0)
+            norm = cinfty_norm(BinomialPolynomial(tuple(coeffs)), scale)
+        if np.isnan(norm).any():
+            raise PrecisionCapError(f"a window polynomial at N={N} is beyond the DD range")
+        norm = np.where(flat == count // 2, math.inf, norm)  # k = 0 is no frequency
+        i = int(np.argmin(norm))
+        if norm[i] < best[0]:
+            best = (float(norm[i]), tuple(ks[:, i].tolist()))
         if norms is not None:
-            norms[k] = norm
-        if best is None or norm < best[0]:
-            best = (norm, k)
+            norms.update((k, v) for k, v in zip(map(tuple, ks.T.tolist()), norm.tolist())
+                         if any(k))
     return ObstructionReport(N, M_max, L_at_N, best[0], best[1], norms)

@@ -11,7 +11,9 @@ symbolic derivatives, consecutive classes tile the growth axis up to t, and
 a common window for several functions is found by ascending pure powers t^c
 toward c = 1.
 
-The same expansion evaluates the orbit engine's dd exponents:
+:func:`taylor_window` gives one such expansion with its coefficients as
+exact Fractions, for the obstruction search.  The same expansion evaluates
+the orbit engine's dd exponents:
 :class:`AnchoredTaylor` replaces f on short windows of a fixed dyadic grid by
 its Taylor polynomial, with a certified bound on the error at every n in
 [1, 2^52).  Its window coefficients are built once per octave of window
@@ -30,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ddmath import (ADD_ERR, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, Double2, comp_horner,
-                     split, two_prod)
+from .ddmath import ADD_ERR, DD, LN2, MUL_ERR, MUL_FLOAT_ERR, U, U2, comp_horner, split, two_prod
 from .hardy import (
     HardyExpr,
     HardyTerm,
@@ -84,7 +85,7 @@ class TaylorWindow:
     [N, N + L(N)]."""
 
     base: int
-    coeffs: tuple[Double2, ...]  # q_j = f^(j)(N) / j!
+    coeffs: tuple[Fraction, ...]  # q_j = f^(j)(N) / j!, from the DD value of f^(j)(N)
     remainder_bound: float
 
 
@@ -153,13 +154,14 @@ def order_for_power(f: HardyExpr, gamma: Fraction) -> Optional[int]:
                                 "no sub-linear window t^gamma")
     p = (gamma, Fraction(0))
     k = min_order(f)
-    b = class_bounds(f, k)
-    if p < b.lower:
+    gk = derivative(f, k)
+    if p < _inverse_root_pair(gk, k):
         return None
-    while not (b.lower <= p < b.upper):
-        k += 1
-        b = class_bounds(f, k)
-    return k
+    while True:  # one derivative per order: the upper bound of k is the lower one of k + 1
+        gk1 = differentiate(gk)
+        if p < _inverse_root_pair(gk1, k + 1):
+            return k
+        k, gk = k + 1, gk1
 
 
 def find_common_window(inputs: Sequence[HardyExpr], max_depth: int = 64) -> WindowPlan:
@@ -234,16 +236,20 @@ def taylor_window(f: HardyExpr, N: int, k: int, L_at_N: float) -> TaylorWindow:
     Past the certified t from which |f^(k+1)| decreases, the Lagrange
     remainder over [N, N + L] is at most |f^(k+1)(N)| L^(k+1) / (k+1)!; the
     operation refuses below that threshold instead of guessing, and where a
-    coefficient or that bound overflows a float.
+    coefficient or that bound overflows a float.  The coefficients are the
+    exact values of the DD evaluations, divided by j! in ``Fraction``.
     """
     if k < 1:
         raise PreconditionError("window order must be at least 1")
+    derivs = [f]
+    for _ in range(k + 1):
+        derivs.append(differentiate(derivs[-1]))
     try:
-        coeffs = [evaluate_dd(derivative(f, j), N) * Fraction(1, math.factorial(j))
-                  for j in range(k + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):  # a value not finite raises below
+            coeffs = [evaluate_dd(g, N) / math.factorial(j) for j, g in enumerate(derivs[:-1])]
     except OverflowError:
         coeffs = None
-    g = derivative(f, k + 1)
+    g = derivs[-1]
     threshold = 1.0 if g.is_zero else decreasing_abs_threshold(g)
     if N < threshold:
         raise PreconditionError(

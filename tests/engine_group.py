@@ -56,7 +56,7 @@ def powers(polys: list, d: int, s) -> dict:
 
     def coefficient(key, j):  # the j-th coefficients of every generator, as a DD array
         pairs = [(0.0, 0.0) if j >= len(p.get(key, ())) or p[key][j] is None
-                 else p[key][j].pair() for p in polys]
+                 else DD.from_fraction(p[key][j]) for p in polys]
         return tuple(np.array(x) for x in zip(*pairs))
 
     keys = O.coordinate_order(d)

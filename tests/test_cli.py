@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -279,12 +280,19 @@ BAD_INPUTS = {
        for k, v in BAD_ENTRIES.items() if k != "1e999"},  # "1e999" parses as a rational gamma
 }
 # inputs that parse but are refused: a window exponent outside (0, 1) or one whose
-# Taylor remainder overflows a float, and a generator entry beyond the float range
+# Taylor remainder overflows a float, and generator entries whose orbit entries or
+# window polynomials are beyond the float range
+GROUP3 = {"group": {"dim": 3}, "base_point": [0, 0, 0]}
 REFUSED_INPUTS = {
     **{f"window gamma {g}": ({"window": {"gamma": g}}, ["obstruction", "--N", "1e3", "--Mmax", "1"],
                              cli.EXIT_PRECONDITION) for g in ("1e999", "3/2", "1", "99/100")},
     "generator 1e308, t^2": ({"generators": [[1e308]], "functions": ["t^2"]},
                              ["weyl", "--N", "100"], cli.EXIT_PRECISION),
+    "3x3 generator 1e200": ({**GROUP3, "generators": [[1e200, 1e200, 0]], "functions": ["t"]},
+                            ["weyl", "--N", "100", "--m", "1,0"], cli.EXIT_PRECISION),
+    "obstruction 1e300": ({**GROUP3, "generators": [[1e300, 1e300, 0]],
+                           "functions": ["100000*t^2"]},
+                          ["obstruction", "--N", "100", "--Mmax", "1"], cli.EXIT_PRECISION),
 }
 EXIT_CASES = {**{k: (*v, cli.EXIT_CONFIG) for k, v in BAD_INPUTS.items()}, **REFUSED_INPUTS}
 EXIT_PREFIX = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_PRECONDITION: "precondition error: ",
@@ -377,6 +385,35 @@ class TestExitCodes:
             assert cli.main(["obstruction", torus_config, "--N", "0"]) == cli.EXIT_PRECONDITION
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "N >= 1" in capsys.readouterr().err
+
+    def test_window_gamma_just_below_one(self, tmp_path, capsys):
+        """gamma = 999/1000 needs a window of order 1500, whose coefficients
+        overflow a float: one derivative per order makes the refusal quick,
+        and it comes without numpy warnings."""
+        p = tmp_path / "torus.json"
+        p.write_text(json.dumps({**json.loads((INSTANCES / "torus_boshernitzan.json").read_text()),
+                                 "window": {"gamma": "999/1000"}}))
+        t0 = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["obstruction", str(p), "--N", "1e3", "--Mmax", "1"])
+        assert rc == cli.EXIT_PRECONDITION and time.perf_counter() - t0 < 5.0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "overflows a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["orbit", "CONFIG", "--N", "10"],
+                                      ["weyl", "CONFIG", "--N", "10"], ["classify", "t^{3/2}"]])
+    def test_unwritable_out(self, torus_config, tmp_path, argv, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        argv = [torus_config if a == "CONFIG" else a for a in argv]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}")
+
+    def test_unwritable_plot_file(self, torus_config, tmp_path, capsys):
+        (tmp_path / "w.weyl_abs_k1.xy").mkdir()  # a directory where a plot file goes
+        argv = ["weyl", torus_config, "--N", "10", "--out", str(tmp_path / "w.csv"), "--emit-plot"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
 
     def test_decreasing_config_grid(self, tmp_path, capsys):
         p = tmp_path / "decreasing.json"

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from mp_oracle import PREC, circular, make_doc, mp_reduce, mp_unipotent, oracle_coords
 from nilorbit import cli, hardy as H, orbits as O, windows as W
-from nilorbit.ddmath import Double2
+from nilorbit.ddmath import BLOCK
 
 E = O.as_entry
 
@@ -307,6 +307,14 @@ class TestObstruction:
     def test_degenerate_generator_detected(self):
         r = O.obstruction_search(torus_cfg(0), None, 10 ** 4, 3)
         assert r.min_norm == 0.0
+
+    def test_first_minimum_wins_across_blocks(self):
+        """A zero generator makes every norm 0: with more frequencies than one
+        BLOCK, the argmin is still the first frequency in np.ndindex order."""
+        M = BLOCK // 2 + 1
+        r = O.obstruction_search(torus_cfg(0), None, 10 ** 4, M, keep_norms=True)
+        assert len(r.norms_by_frequency) > BLOCK
+        assert r.argmin == (-M,) and r.min_norm == 0.0
 
     def test_rational_resonance(self):
         r = O.obstruction_search(torus_cfg("2/5"), None, 10 ** 4, 5, keep_norms=True)
