@@ -48,26 +48,20 @@ class AverageExperiment:
         if len(self.tests) != len(self.cfg.blocks):
             raise ValueError("need one test function per factor")
         object.__setattr__(self, "tests", tuple(
-            t if isinstance(t, TestFunction) else make_test_function(t, b * (b - 1) // 2, b - 1)
-            for t, b in zip(self.tests, self.cfg.blocks)))
+            t if isinstance(t, TestFunction) else make_test_function(t, blk.coords_dim, blk.dim - 1)
+            for t, blk in zip(self.tests, self.cfg.layout.blocks)))
 
     def orbit_config(self) -> OrbitConfig:
         return self.cfg  # the benchmark tracer (perfbench/tracer.py) binds this name
 
     def integrand(self):
-        """Product of the block test functions on their coordinate slices."""
-        slices = []
-        c0 = h0 = 0
-        for b in self.cfg.blocks:
-            m = b * (b - 1) // 2
-            slices.append((slice(c0, c0 + m), slice(h0, h0 + b - 1)))
-            c0 += m
-            h0 += b - 1
+        """Product of the block test functions on their blocks' columns (views)."""
+        parts = list(zip(self.tests, self.cfg.layout.blocks))
 
         def fn(ns, coords, horiz):
             out = None
-            for test, (cs, hs) in zip(self.tests, slices):
-                v = test(coords[:, cs], horiz[:, hs])
+            for test, blk in parts:
+                v = test(coords[:, blk.coords], horiz[:, blk.horiz])
                 out = v if out is None else out * v
             return out
 
@@ -135,27 +129,28 @@ def _floor_of_limit(limit_term) -> int:
     return math.floor(v)
 
 
+def _limit_of_difference(a1: HardyExpr, a2: HardyExpr):
+    """The constant term of lim (a2 - a1), None for 0; PreconditionError unless (P2) holds."""
+    p2 = check_P2(a2 - a1)
+    if not p2.holds:
+        raise PreconditionError("(P2) fails for a2 - a1")
+    return p2.limit
+
+
 def floor_discrepancy(a1: HardyExpr, a2: HardyExpr, n: int) -> int:
     """Exact e(n) = floor(a2(n)) - floor(a1(n)) - floor(c), c = lim (a2 - a1).
 
     Requires the difference to satisfy (P2); past the threshold reported by
     :func:`floor_discrepancy_threshold` the value lies in {0, +-1, +-2}.
     """
-    diff = a2 - a1
-    p2 = check_P2(diff)
-    if not p2.holds:
-        raise PreconditionError("(P2) fails for a2 - a1")
-    return floor_at(a2, n) - floor_at(a1, n) - _floor_of_limit(p2.limit)
+    return floor_at(a2, n) - floor_at(a1, n) - _floor_of_limit(_limit_of_difference(a1, a2))
 
 
 def floor_discrepancy_threshold(a1: HardyExpr, a2: HardyExpr) -> int:
     """Certified n past which the correction term x(t) = a2 - a1 - c has
     constant sign and |x| < 1/2."""
-    diff = a2 - a1
-    p2 = check_P2(diff)
-    if not p2.holds:
-        raise PreconditionError("(P2) fails for a2 - a1")
-    x = diff - HardyExpr((p2.limit,)) if p2.limit is not None else diff
+    diff, limit = a2 - a1, _limit_of_difference(a1, a2)
+    x = diff - HardyExpr((limit,)) if limit is not None else diff
     if x.is_zero:
         return 1
     t = decreasing_abs_threshold(x)

@@ -78,6 +78,17 @@ class ConfigError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """A ValueError raised inside, other than a PreconditionError, is a config error."""
+    try:
+        yield
+    except PreconditionError:
+        raise
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def _is_type(x, name: str) -> bool:
     """JSON Schema's types: a bool is no number, and an integral float is an integer."""
     if name in ("number", "integer"):
@@ -172,9 +183,9 @@ def build_orbit_config(doc: dict) -> orbits.OrbitConfig:
         functions = tuple(hardy.parse(s) for s in doc["functions"])
     except HardyParseError as e:
         raise ConfigError(f"bad function expression: {e}") from e
-    m = sum(b * (b - 1) // 2 for b in blocks)
-    base = doc.get("base_point", [0] * m)
-    try:
+    layout = orbits.block_layout(blocks, len(doc["generators"]))
+    base = doc.get("base_point", [0] * layout.coords_dim)
+    with _config_errors():
         return orbits.OrbitConfig(
             dim=dim, blocks=blocks, functions=functions,
             generators=tuple(tuple(orbits.as_entry(v) for v in g) for g in doc["generators"]),
@@ -184,52 +195,26 @@ def build_orbit_config(doc: dict) -> orbits.OrbitConfig:
             n_cap=doc.get("N_cap", orbits.DEFAULT_N_CAP),
             allow_beyond_cap=doc.get("allow_beyond_cap", False),
         )
-    except ValueError as e:
-        if isinstance(e, PreconditionError):
-            raise
-        raise ConfigError(str(e)) from e
 
 
 def build_window(doc: dict, cfg: orbits.OrbitConfig):
-    """The window plan for the config's non-polynomial parts (None if none)."""
-    snp = []
-    for f in cfg.functions:
-        _, rest = hardy.decompose_nontrivial(f)
-        if rest is not None:
-            snp.append(rest)
-    if not snp:
-        return None
+    """The window plan for the config's non-polynomial parts (None if none),
+    at the config's pinned gamma or found automatically."""
     spec = doc.get("window", "auto")
-    if spec == "auto":
-        return windows.find_common_window(snp)
     try:
-        gamma = Fraction(str(spec["gamma"]))
+        gamma = None if spec == "auto" else Fraction(str(spec["gamma"]))
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"window gamma {spec['gamma']!r} is not a rational: {e}") from e
-    orders = []
-    for f in snp:
-        k = windows.order_for_power(f, gamma)
-        if k is None:
-            raise PreconditionError(f"t^{gamma} is not admissible for {f}")
-        orders.append(k)
-    plan = windows.WindowPlan(hardy.HardyExpr.monomial(1, gamma), gamma,
-                              tuple(orders), tuple(snp))
-    if not plan.validate():
-        raise PreconditionError(f"pinned gamma {gamma} fails membership")
-    return plan
+    return windows.window_plan(cfg.functions, gamma)
 
 
 def build_experiment(doc: dict) -> avg.AverageExperiment:
     cfg = build_orbit_config(doc)
-    try:
+    with _config_errors():
         return avg.AverageExperiment(
             cfg, tuple(doc.get("tests", [{"type": "one"}] * len(cfg.blocks))),
             declared_closure=doc.get("declared_closure", "undeclared"),
             n_grid=parse_grid(doc.get("N_grid", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])))
-    except ValueError as e:
-        if isinstance(e, PreconditionError):
-            raise
-        raise ConfigError(str(e)) from e
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +267,14 @@ def emit_plot_files(out: str, header: list[str], rows: list[list]) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+def _emit(args, header: list[str], rows: list[list]) -> int:
+    """A command's output: the CSV, and its plot files if asked for; EXIT_OK."""
+    write_csv(args.out, header, rows)
+    if args.emit_plot and args.out:
+        emit_plot_files(args.out, header, rows)
+    return EXIT_OK
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -306,8 +299,7 @@ def cmd_classify(args) -> int:
                      p2.holds, p2.limit_float() if p2.holds else "",
                      g.tends_to.value, g.polynomial_growth_degree, g.is_sublinear,
                      g.is_subfractional, g.is_strongly_nonpolynomial, mod1, usable])
-    write_csv(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args, header, rows)
 
 
 def cmd_window(args) -> int:
@@ -324,10 +316,7 @@ def cmd_window(args) -> int:
         rows.append([str(f), k, str(b.lower[0]), str(b.lower[1]),
                      str(b.upper[0]), str(b.upper[1]), str(plan.gamma),
                      windows.member(plan.L, f, k)])
-    write_csv(args.out, header, rows)
-    if args.emit_plot and args.out:
-        emit_plot_files(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args, header, rows)
 
 
 def _grid(args, doc) -> tuple[int, ...]:
@@ -356,43 +345,37 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _frequencies(args, doc, cfg) -> list[tuple[int, ...]]:
-    """Frequencies on the product horizontal torus, from --m or the config tests."""
-    need = cfg.horiz_dim
+def _characters(args, doc, cfg) -> list[tuple[tuple[int, ...], orbits.TestFunction]]:
+    """Frequencies on the product horizontal torus, from --m or the config
+    tests, each with its character."""
     if args.m:
         try:
-            m = tuple(int(x) for x in args.m.split(","))
+            freqs = [tuple(int(x) for x in args.m.split(","))]
         except ValueError as e:
             raise ConfigError(f"--m must be comma-separated integers: {e}") from e
-        if len(m) != need:
-            raise ConfigError(f"--m needs {need} components, got {len(m)}")
-        return [m]
-    out = []
-    for t in doc.get("tests", []):
-        if t["type"] == "horizontal_character":
-            out.append(tuple(t["k"]))
-    if not out:
-        raise ConfigError("no frequency given: pass --m or add horizontal_character tests")
-    if any(len(k) != need for k in out):
-        raise ConfigError(
-            f"the tests' horizontal characters are block-local; this config's horizontal "
-            f"torus has {need} components: pass a frequency with --m")
-    return out
+    else:
+        freqs = [tuple(t["k"]) for t in doc.get("tests", []) if t["type"] == "horizontal_character"]
+        if not freqs:
+            raise ConfigError("no frequency given: pass --m or add horizontal_character tests")
+        if any(len(k) != cfg.horiz_dim for k in freqs):
+            raise ConfigError(
+                f"the tests' horizontal characters are block-local; this config's horizontal "
+                f"torus has {cfg.horiz_dim} components: pass a frequency with --m")
+    with _config_errors():  # a wrong length or a frequency beyond int64
+        return [(m, orbits.make_test_function({"type": "horizontal_character", "k": m},
+                                              cfg.coords_dim, cfg.horiz_dim)) for m in freqs]
 
 
 def cmd_weyl(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
-    freqs = _frequencies(args, doc, cfg)
-    header = LONG_HEADER
+    characters = _characters(args, doc, cfg)
     grid = _grid(args, doc)
     ends = sorted(set(grid))
     rows = []
-    for m in freqs:
+    for m, chi in characters:
         label = "k" + "_".join(str(x) for x in m)
         # one pass over the orbit for the whole grid; the same bits as weyl_sum at each N
-        chi = orbits.make_test_function({"type": "horizontal_character", "k": m},
-                                        cfg.coords_dim, cfg.horiz_dim)
         sums = orbits.chunked_mean(cfg, lambda ns, coords, horiz: chi(coords, horiz), 1, ends,
                                    args.workers)
         for N in grid:
@@ -400,41 +383,30 @@ def cmd_weyl(args) -> int:
             rows.append([N, f"weyl_re_{label}", s.real])
             rows.append([N, f"weyl_im_{label}", s.imag])
             rows.append([N, f"weyl_abs_{label}", abs(s)])
-    write_csv(args.out, header, rows)
-    if args.emit_plot and args.out:
-        emit_plot_files(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args, LONG_HEADER, rows)
 
 
 def cmd_discrepancy(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     grid_res = args.grid if args.grid is not None else orbits.default_grid_res(cfg.coords_dim)
-    header = LONG_HEADER
     grid = _grid(args, doc)
     values = orbits.discrepancy_series(cfg, grid, grid_res, args.workers)
     rows = [[N, f"box_discrepancy_g{grid_res}", d] for N, d in zip(grid, values)]
-    write_csv(args.out, header, rows)
-    if args.emit_plot and args.out:
-        emit_plot_files(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args, LONG_HEADER, rows)
 
 
 def cmd_obstruction(args) -> int:
     doc = load_config(args.config)
     cfg = build_orbit_config(doc)
     plan = build_window(doc, cfg)
-    header = LONG_HEADER
     rows = []
     for N in _grid(args, doc):
         r = orbits.obstruction_search(cfg, plan, N, args.Mmax)
         rows.append([N, "min_cinfty_norm", r.min_norm])
         for j, kj in enumerate(r.argmin):
             rows.append([N, f"argmin_k{j + 1}", kj])
-    write_csv(args.out, header, rows)
-    if args.emit_plot and args.out:
-        emit_plot_files(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args, LONG_HEADER, rows)
 
 
 def cmd_average(args) -> int:
@@ -443,19 +415,11 @@ def cmd_average(args) -> int:
     grid = parse_grid(args.grid) if args.grid is not None else exp.n_grid
     series = avg.convergence_series(exp, grid, args.workers)
     header = ["N", "re(A_N)", "im(A_N)", "re(limit)", "im(limit)", "abs_err", "cauchy_inc"]
-    rows = []
-    for r in series.rows:
-        rows.append([
-            r.N, r.value.real, r.value.imag,
-            r.limit.real if r.limit is not None else "",
-            r.limit.imag if r.limit is not None else "",
-            r.abs_err if r.abs_err is not None else "",
-            r.cauchy_increment if r.cauchy_increment is not None else "",
-        ])
-    write_csv(args.out, header, rows)
-    if args.emit_plot and args.out:
-        emit_plot_files(args.out, header, rows)
-    return EXIT_OK
+    rows = [[r.N, r.value.real, r.value.imag,
+             *(("", "") if r.limit is None else (r.limit.real, r.limit.imag)),
+             *("" if x is None else x for x in (r.abs_err, r.cauchy_increment))]
+            for r in series.rows]  # an empty cell for a missing value
+    return _emit(args, header, rows)
 
 
 def _positive_int(text: str) -> int:
@@ -473,7 +437,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="run the (P1)/(P2) checkers on expressions")
     c.add_argument("expr", nargs="+")
     c.add_argument("--out", default=None)
-    c.set_defaults(fn=cmd_classify)
+    c.set_defaults(fn=cmd_classify, emit_plot=False)
 
     for name, fn, extra in [
         ("window", cmd_window, ("plot",)),

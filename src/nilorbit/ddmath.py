@@ -354,9 +354,7 @@ class _DDKernel:
 
     @staticmethod
     def pow_fraction(x, a: Fraction):
-        if a.denominator == 1:
-            return _DDKernel.npow(x, a.numerator)
-        return _DDKernel.pow_fraction_ln(x, a, _DDKernel.ln(x))
+        return _DDKernel.pow_fraction_ln(x, a, None if a.denominator == 1 else _DDKernel.ln(x))
 
     @staticmethod
     def pow_fraction_ln(x, a: Fraction, lnx):

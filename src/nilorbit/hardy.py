@@ -67,6 +67,13 @@ class HardyTerm:
     def growth(self) -> GrowthPair:
         return (self.power, self.logpow)
 
+    @property
+    def is_polynomial(self) -> bool:
+        """A term of a polynomial: an integer power >= 0 and no log factor.
+        This is the one test that splits a function into its polynomial and
+        non-polynomial parts (:func:`decompose`)."""
+        return self.power.denominator == 1 and self.power >= 0 and self.logpow == 0
+
     def coeff_float(self) -> float:
         v = float(self.coeff)
         if self.const is not None:
@@ -130,8 +137,7 @@ class HardyExpr:
 
     @staticmethod
     def constant(q: Fraction | int) -> "HardyExpr":
-        q = Fraction(q)
-        return HardyExpr(()) if q == 0 else HardyExpr((HardyTerm(q, Fraction(0), 0),))
+        return HardyExpr.monomial(q)
 
     @staticmethod
     def monomial(coeff: Fraction | int, power: Fraction | int = 0, logpow: int = 0,
@@ -531,28 +537,21 @@ def classify(f: HardyExpr) -> GrowthClassification:
     else:
         # integer a: t^a log^b is strictly between consecutive powers iff b != 0
         snp = (b > 0 and a >= 0) or (b < 0 and a >= 1)
-    is_poly = all(t.power.denominator == 1 and t.power >= 0 and t.logpow == 0 for t in f.terms)
+    is_poly = all(t.is_polynomial for t in f.terms)
     return GrowthClassification(tends, limit, degree, sublinear, subfractional, snp, is_poly)
 
 
 def decompose(f: HardyExpr) -> tuple[HardyExpr, HardyExpr]:
     """Split into (polynomial part, strongly-non-polynomial-or-o(1) part)."""
-    poly, rest = [], []
-    for t in f.terms:
-        (poly if t.power.denominator == 1 and t.power >= 0 and t.logpow == 0 else rest).append(t)
-    return HardyExpr(poly), HardyExpr(rest)
+    return (HardyExpr(t for t in f.terms if t.is_polynomial),
+            HardyExpr(t for t in f.terms if not t.is_polynomial))
 
 
 def decompose_nontrivial(f: HardyExpr) -> tuple[HardyExpr, Optional[HardyExpr]]:
-    """(polynomial part, the rest or None when it vanishes or is sub-fractional
-    or o(1)): the split that window plans and the obstruction search use."""
+    """(polynomial part, the rest or None when it vanishes or is sub-fractional,
+    o(1) included): the split that window plans and the obstruction search use."""
     poly, rest = decompose(f)
-    if rest.is_zero:
-        return poly, None
-    g = classify(rest)
-    if g.is_subfractional or g.tends_to is LimitKind.ZERO:
-        return poly, None
-    return poly, rest
+    return poly, None if rest.is_zero or classify(rest).is_subfractional else rest
 
 
 def nonpolynomial_growth(f: HardyExpr) -> Optional[GrowthPair]:
@@ -580,11 +579,8 @@ def check_P1(f: HardyExpr) -> P1Result:
     no log factor, integer rational coefficient -- are removed; the check
     asks whether the dominant survivor still grows like a positive power.
     """
-    survivors = [
-        t for t in f.terms
-        if not (t.power.denominator == 1 and t.power >= 0 and t.logpow == 0
-                and t.const is None and t.coeff.denominator == 1)
-    ]
+    survivors = [t for t in f.terms
+                 if not (t.is_polynomial and t.const is None and t.coeff.denominator == 1)]
     if not survivors:
         return P1Result(False, None)
     dom = max(survivors, key=lambda t: t.growth)
@@ -604,13 +600,8 @@ class P2Result:
 
 def check_P2(f: HardyExpr) -> P2Result:
     """True iff f(t) converges to a real number (every term bounded)."""
-    const_term = None
-    for t in f.terms:
-        if t.growth > (0, 0):
-            return P2Result(False, None)
-        if t.growth == (0, 0):
-            const_term = t
-    return P2Result(True, const_term)
+    g = classify(f)
+    return P2Result(g.tends_to in (LimitKind.FINITE, LimitKind.ZERO), g.limit)
 
 
 class Mod1Case(enum.Enum):
@@ -907,8 +898,7 @@ def _term_exact_fraction(t: HardyTerm, n: int) -> Optional[Fraction]:
 
 def is_rational_polynomial(f: HardyExpr) -> bool:
     """Polynomial in t with rational coefficients (no logs, constants or negative powers)."""
-    return all(t.const is None and t.logpow == 0 and t.power.denominator == 1
-               and t.power >= 0 for t in f.terms)
+    return all(t.is_polynomial and t.const is None for t in f.terms)
 
 
 def rational_polynomial_numerator(f: HardyExpr, ns: np.ndarray) -> tuple[np.ndarray, int]:

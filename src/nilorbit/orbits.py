@@ -53,12 +53,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property, lru_cache, reduce
+from itertools import zip_longest
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -113,15 +115,57 @@ def as_entry(v) -> Double2:
     raise ValueError(f"entry {v!r} is not a finite number, rational or constant name")
 
 
+class Block(NamedTuple):
+    """One diagonal block of a config (:func:`block_layout`)."""
+
+    dim: int
+    coords: slice       # its Malcev coordinates among the config's
+    horiz: slice        # its horizontal coordinates among the config's
+    generators: range   # the generators that act in it
+
+    @property
+    def coords_dim(self) -> int:
+        return self.coords.stop - self.coords.start
+
+
+class BlockLayout(NamedTuple):
+    blocks: tuple[Block, ...]
+    coords_dim: int
+    horiz_dim: int
+    horiz_cols: tuple[int, ...]  # the horizontal coordinates among the Malcev ones
+
+
+def block_layout(sizes: Sequence[int], n_generators: int) -> BlockLayout:
+    """How the coordinates, horizontal coordinates and generators of a config
+    with diagonal blocks of these sizes divide into its blocks.
+
+    A block of dimension b has b(b-1)/2 Malcev coordinates, in
+    :func:`coordinate_order`, and b - 1 horizontal ones: its superdiagonal
+    entries, the first b - 1 of its Malcev coordinates.  Both are listed
+    factor-major, so a block starts at coordinate offset sum b(b-1)/2 and at
+    horizontal offset sum (b - 1) over the blocks before it.  With one block
+    every generator acts in it; with several, generator i acts in block i.
+    The slices are basic, so a block's columns of a sample array are views.
+    """
+    blocks, c0, h0 = [], 0, 0
+    for bi, b in enumerate(sizes):
+        c1, h1 = c0 + b * (b - 1) // 2, h0 + b - 1
+        blocks.append(Block(b, slice(c0, c1), slice(h0, h1),
+                            range(n_generators) if len(sizes) == 1 else range(bi, bi + 1)))
+        c0, h0 = c1, h1
+    return BlockLayout(tuple(blocks), c0, h0,
+                       tuple(c for blk in blocks for c in range(blk.coords.start,
+                                                                 blk.coords.start + blk.dim - 1)))
+
+
 @dataclass(frozen=True)
 class OrbitConfig:
     """Combined-orbit instance b_1^(a_1(n)) ... b_k^(a_k(n)) x on one group:
     the product taken in this order, x on the right.
 
-    ``blocks`` declares a block-diagonal product structure: with several
-    blocks, generator i lives in block i and sample coordinates are listed
-    factor-major.  With a single block all generators act on the full group;
-    they need not commute.
+    ``blocks`` declares a block-diagonal product structure (``layout``,
+    see :func:`block_layout`).  With a single block all generators act on
+    the full group; they need not commute.
     """
 
     dim: int
@@ -149,21 +193,24 @@ class OrbitConfig:
             if any(t.logpow < 0 for t in f.terms):
                 raise PreconditionError(
                     "functions with negative log powers are undefined at n=1")
-        expected = sum(b * (b - 1) // 2 for b in self.blocks)
-        if len(self.base_point) != expected:
-            raise ValueError(f"base point needs {expected} block-local coordinates")
-        for gi, g in enumerate(self.generators):
-            b = self.blocks[gi] if len(self.blocks) > 1 else self.dim
-            if len(g) != b * (b - 1) // 2:
-                raise ValueError(f"generator {gi} needs {b * (b - 1) // 2} coordinates")
+        if len(self.base_point) != self.coords_dim:
+            raise ValueError(f"base point needs {self.coords_dim} block-local coordinates")
+        for blk in self.layout.blocks:
+            for gi in blk.generators:
+                if len(self.generators[gi]) != blk.coords_dim:
+                    raise ValueError(f"generator {gi} needs {blk.coords_dim} coordinates")
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        return block_layout(self.blocks, len(self.generators))
 
     @property
     def coords_dim(self) -> int:
-        return sum(b * (b - 1) // 2 for b in self.blocks)
+        return self.layout.coords_dim
 
     @property
     def horiz_dim(self) -> int:
-        return sum(b - 1 for b in self.blocks)
+        return self.layout.horiz_dim
 
 
 @dataclass(frozen=True)
@@ -186,25 +233,28 @@ def _log_dd(entries: dict, d: int) -> dict:
     for j in range(1, d):
         for k, v in power.items():
             acc[k] = acc.get(k, 0) + v * Fraction(sign, j)
-        power = _mat_mul_strict(power, U, d)
+        power = unitriangular_product(power, U, d, operator.add, operator.mul, False)
         sign = -sign
         if not power:
             break
     return acc
 
 
-def _mat_mul_strict(A: dict, B: dict, d: int) -> dict:
+def unitriangular_product(A: dict, B: dict, d: int, add, mul, unipotent: bool) -> dict:
+    """The strict-upper entries of A B, or with ``unipotent`` of (I + A)(I + B),
+    for d x d strict-upper A and B given as dicts by index pair (a missing
+    entry is zero), in the scalar operations ``add`` and ``mul``: exact
+    Fractions at build time, kernel arrays per sample.  Entry (i, j) sums,
+    from the left, A's and B's own entries (with ``unipotent``) and then the
+    products A[i, k] B[k, j] in ascending k."""
     out = {}
     for i in range(d):
         for j in range(i + 1, d):
-            s = None
-            for m in range(i + 1, j):
-                a = A.get((i, m))
-                b = B.get((m, j))
-                if a is not None and b is not None:
-                    s = a * b if s is None else s + a * b
-            if s is not None:
-                out[(i, j)] = s
+            terms = [X[i, j] for X in (A, B) if (i, j) in X] if unipotent else []
+            terms += [mul(A[i, k], B[k, j]) for k in range(i + 1, j)
+                      if (i, k) in A and (k, j) in B]
+            if terms:
+                out[i, j] = reduce(add, terms)
     return out
 
 
@@ -218,9 +268,9 @@ def _entry_polynomials(entries: Sequence[Double2], d: int, base: dict) -> dict:
     terms, power = [base], {k: v for k, v in lam.items() if v}
     for j in range(1, d):
         mj = {k: v / math.factorial(j) for k, v in power.items()}
-        mju = _mat_mul_strict(mj, base, d)
+        mju = unitriangular_product(mj, base, d, operator.add, operator.mul, False)
         terms.append({k: mj.get(k, 0) + mju.get(k, 0) for k in {*mj, *mju}})
-        power = _mat_mul_strict(power, lam, d)
+        power = unitriangular_product(power, lam, d, operator.add, operator.mul, False)
     poly = {}
     for key in set().union(*terms):
         coeffs = [t.get(key) or None for t in terms]
@@ -242,8 +292,9 @@ def _const(K, c: Fraction):
 
 
 class _Block:
-    """One block: its generators' entry polynomials, as kernel constants and
-    with the base point folded into the last generator, and its reduction.
+    """One block: its rows of the coordinates, its generators' entry
+    polynomials, as kernel constants and with the base point folded into the
+    last generator, and its reduction.
 
     The reduction clears the entries in :func:`coordinate_order`:
     clearing (i, j) by its floor m subtracts m (r, i) from (r, j) for every
@@ -255,10 +306,14 @@ class _Block:
     DD; the others, the leaves, need just its float.
     """
 
-    __slots__ = ("d", "gens", "steps")
+    __slots__ = ("d", "coords", "gens", "steps")
 
-    def __init__(self, K, d: int, gens: list, base: dict):
-        self.d = d
+    def __init__(self, K, layout: Block, cfg: OrbitConfig):
+        self.d = d = layout.dim
+        self.coords = layout.coords
+        gens = [(gi, cfg.generators[gi]) for gi in layout.generators]
+        base = {k: to_fraction(v)
+                for k, v in zip(coordinate_order(d), cfg.base_point[layout.coords]) if v.hi}
         self.gens = []
         for t, (gi, entries) in enumerate(gens):
             poly = _entry_polynomials(entries, d, base if t == len(gens) - 1 else {})
@@ -294,24 +349,14 @@ class OrbitEngine:
     def __init__(self, cfg: OrbitConfig):
         self.cfg = cfg
         self.K = KERNELS[cfg.precision]
-        # the dd kernel evaluates exponents by Taylor windows, except rational
-        # polynomials (exact in integers); double keeps np.power
-        self.taylor = ([None if is_rational_polynomial(f) else AnchoredTaylor(f)
-                        for f in cfg.functions] if self.K is DD else None)
+        # rational polynomials are exact in integers; the dd kernel evaluates
+        # the other exponents by Taylor windows, double keeps np.power
+        self.polynomial = [is_rational_polynomial(f) for f in cfg.functions]
+        self.taylor = None if self.K is not DD else [
+            None if p else AnchoredTaylor(f) for f, p in zip(cfg.functions, self.polynomial)]
         self.warned = False  # of a range beyond an allowed cap
-        # the horizontal coordinates are the first d - 1 (superdiagonal) ones of each block
-        self.blocks: list[_Block] = []
-        self.horiz_cols: list[int] = []
-        pos = 0
-        for bi, b in enumerate(cfg.blocks):
-            m = b * (b - 1) // 2
-            base = {k: to_fraction(v) for k, v in zip(coordinate_order(b),
-                                                      cfg.base_point[pos:pos + m]) if v.hi}
-            gens = [(gi, g) for gi, g in enumerate(cfg.generators)
-                    if len(cfg.blocks) == 1 or gi == bi]
-            self.blocks.append(_Block(self.K, b, gens, base))
-            self.horiz_cols.extend(range(pos, pos + b - 1))
-            pos += m
+        self.blocks = [_Block(self.K, blk, cfg) for blk in cfg.layout.blocks]
+        self.horiz_cols = list(cfg.layout.horiz_cols)  # numpy reads a tuple as one index per axis
 
     # -- per-chunk computation ----------------------------------------------
 
@@ -330,7 +375,7 @@ class OrbitEngine:
         layouts = {}  # by anchor bits s, shared by the functions with that s
         out = []
         for gi, f in enumerate(self.cfg.functions):
-            if is_rational_polynomial(f):
+            if self.polynomial[gi]:
                 P, D = rational_polynomial_numerator(f, ns)
                 q, r = P // D, P % D
                 s = K.from_int_array(q)
@@ -358,30 +403,10 @@ class OrbitEngine:
         return dict(zip(keys, self.K.polyval(polys, s)))
 
     def _block_product(self, mats: list[dict], d: int):
+        """The product of the unipotent d x d matrices with the strict-upper
+        entries ``mats``, in order."""
         K = self.K
-        acc = None
-        for m in mats:
-            if acc is None:
-                acc = m
-                continue
-            nxt = {}
-            for i in range(d):
-                for j in range(i + 1, d):
-                    terms = []
-                    if (i, j) in acc:
-                        terms.append(acc[(i, j)])
-                    if (i, j) in m:
-                        terms.append(m[(i, j)])
-                    for k in range(i + 1, j):
-                        if (i, k) in acc and (k, j) in m:
-                            terms.append(K.mul(acc[(i, k)], m[(k, j)]))
-                    if terms:
-                        s = terms[0]
-                        for t in terms[1:]:
-                            s = K.add(s, t)
-                        nxt[(i, j)] = s
-            acc = nxt
-        return acc if acc is not None else {}
+        return reduce(lambda acc, m: unitriangular_product(acc, m, d, K.add, K.mul, True), mats, {})
 
     def _reduce_block(self, E: dict, steps: list, out: np.ndarray):
         """Lattice reduction of one block's entries E, in place; writes the
@@ -469,13 +494,10 @@ class OrbitEngine:
     def _coordinates(self, expo, out):
         """Write the reduced coordinates of one block of exponents into the
         rows of ``out``."""
-        row = 0
         for blk in self.blocks:
             mats = [self._generator_matrix(keys, polys, expo[gi]) for gi, keys, polys in blk.gens]
             E = mats[0] if len(mats) == 1 else self._block_product(mats, blk.d)
-            width = len(blk.steps)
-            self._reduce_block(E, blk.steps, out[row:row + width])
-            row += width
+            self._reduce_block(E, blk.steps, out[blk.coords])
 
 
 def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
@@ -590,24 +612,24 @@ def make_test_function(spec: dict, coords_dim: int, horiz_dim: int) -> TestFunct
     if kind == "one":
         return TestFunction("one", 1 + 0j, True,
                             lambda coords, horiz: np.ones(len(coords), dtype=complex))
-    if kind == "horizontal_character":
-        k = np.asarray(spec["k"], dtype=np.int64)
-        if k.shape != (horiz_dim,):
-            raise ValueError(f"horizontal character needs {horiz_dim} frequencies")
-        integral = 1 + 0j if not k.any() else 0j
-        return TestFunction(f"chi{tuple(int(x) for x in k)}", integral, True,
-                            lambda coords, horiz: _e(horiz @ k))
-    if kind == "coordinate_character":
-        m = np.asarray(spec["m"], dtype=np.int64)
-        if m.shape != (coords_dim,):
-            raise ValueError(f"coordinate character needs {coords_dim} frequencies")
-        integral = 1 + 0j if not m.any() else 0j
-        return TestFunction(f"coord{tuple(int(x) for x in m)}", integral, False,
-                            lambda coords, horiz: _e(coords @ m))
+    if kind in ("horizontal_character", "coordinate_character"):
+        horizontal = kind == "horizontal_character"
+        what, dim = kind.replace("_", " "), horiz_dim if horizontal else coords_dim
+        try:
+            k = np.asarray(spec["k" if horizontal else "m"], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{what} frequencies beyond the int64 range") from None
+        if k.shape != (dim,):
+            raise ValueError(f"{what} needs {dim} frequencies")
+        return TestFunction(f"{'chi' if horizontal else 'coord'}{tuple(int(x) for x in k)}",
+                            1 + 0j if not k.any() else 0j, horizontal,
+                            lambda coords, horiz: _e((horiz if horizontal else coords) @ k))
     if kind == "bump":
         idx = tuple(spec.get("coords", range(coords_dim)))
         if any(i < 0 or i >= coords_dim for i in idx):
             raise ValueError("bump coordinate index out of range")
+        if len(set(idx)) < len(idx):  # the integral below holds for distinct coordinates
+            raise ValueError(f"bump coordinates {list(idx)} repeat an index")
         integral = complex(Fraction(1, 2 ** len(idx)))
 
         def bump(coords, horiz, idx=idx):
@@ -625,10 +647,7 @@ def make_test_function(spec: dict, coords_dim: int, horiz_dim: int) -> TestFunct
 
 def weyl_sum(cfg: OrbitConfig, m: Sequence[int], N: int, workers: int = 1) -> complex:
     """(1/N) sum_{n<=N} e(m . horiz(orbit_point(n))) with tree summation."""
-    m = np.asarray(m, dtype=np.int64)
-    if m.shape != (cfg.horiz_dim,):
-        raise ValueError(f"frequency vector needs {cfg.horiz_dim} components")
-    return chunked_mean(cfg, lambda ns, coords, horiz: _e(horiz @ m), 1, (N,), workers)[0]
+    return window_average(cfg, {"type": "horizontal_character", "k": m}, 1, N - 1, workers)
 
 
 def window_average(cfg: OrbitConfig, test: TestFunction | dict, N: int,
@@ -707,18 +726,13 @@ def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -
         raise PreconditionError("grid resolution must be >= 2")
     if isinstance(samples, np.ndarray):
         samples = [samples]
-    hist = None
-    total = 0
+    hist, total = 0, 0
     for chunk in samples:
         chunk = np.atleast_2d(np.asarray(chunk, dtype=np.float64))
-        if chunk.size == 0:
-            continue
-        h = histogram_counts(chunk, grid_res)
-        hist = h if hist is None else hist + h
-        total += len(chunk)
-    if hist is None or total == 0:
-        raise PreconditionError("empty sample set")
-    return discrepancy_from_histogram(hist, total)
+        if chunk.size:
+            hist = hist + histogram_counts(chunk, grid_res)
+            total += len(chunk)
+    return discrepancy_from_histogram(hist, total)  # which refuses an empty sample set
 
 
 # cells of a discrepancy histogram: 32 MiB of int64 counts, and
@@ -815,40 +829,30 @@ class BinomialPolynomial:
         return len(self.coeffs) - 1
 
 
+def _triangular_change(coeffs: Sequence, weight: Callable[[int, int], object]) -> tuple:
+    """out_a = sum over b >= a of coeffs[b] * weight(b, a), summed in
+    ascending b and skipping zero weights, 0 where all are."""
+    out = []
+    for a in range(len(coeffs)):
+        terms = [coeffs[b] * w for b in range(a, len(coeffs)) if (w := weight(b, a))]
+        out.append(reduce(operator.add, terms) if terms else 0)
+    return tuple(out)
+
+
 def to_binomial_basis(monomial_coeffs: Sequence) -> BinomialPolynomial:
     """Exact change of basis n^j = sum_i S2(j, i) i! binom(n, i).
 
     Works on any coefficient type with + and *; Fraction keeps it exact.
     """
-    d = len(monomial_coeffs) - 1
-    out = []
-    for i in range(d + 1):
-        acc = None
-        for j in range(i, d + 1):
-            w = _stirling2(j, i) * math.factorial(i)
-            if w == 0:
-                continue
-            term = monomial_coeffs[j] * w
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0)
-    return BinomialPolynomial(tuple(out))
+    return BinomialPolynomial(_triangular_change(
+        monomial_coeffs, lambda j, i: _stirling2(j, i) * math.factorial(i)))
 
 
 def binomial_to_monomial(p: BinomialPolynomial) -> tuple:
     """Inverse change of basis via signed Stirling numbers:
     binom(n, i) = sum_j s1(i, j) n^j / i!."""
-    d = p.degree
-    out = []
-    for j in range(d + 1):
-        acc = None
-        for i in range(j, d + 1):
-            s = _stirling1_signed(i, j)
-            if s == 0:
-                continue
-            term = p.coeffs[i] * Fraction(s, math.factorial(i))
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0)
-    return tuple(out)
+    return _triangular_change(p.coeffs, lambda i, j: Fraction(_stirling1_signed(i, j),
+                                                              math.factorial(i)))
 
 
 def _torus_distance(x):
@@ -903,20 +907,10 @@ def _poly_shift_coeffs(p: HardyExpr, N: int) -> list[Fraction]:
 def generator_horizontal_lifts(cfg: OrbitConfig) -> list[list[Fraction]]:
     """Superdiagonal entries of each generator on the product horizontal
     torus, exactly (zero outside the generator's own block)."""
-    lifts = []
-    for gi, entries in enumerate(cfg.generators):
-        row = [Fraction(0)] * cfg.horiz_dim
-        if len(cfg.blocks) > 1:
-            d = cfg.blocks[gi]
-            offset = sum(b - 1 for b in cfg.blocks[:gi])
-        else:
-            d = cfg.dim
-            offset = 0
-        order = coordinate_order(d)
-        for (i, j), v in zip(order, entries):
-            if j == i + 1:
-                row[offset + i] = to_fraction(v)
-        lifts.append(row)
+    lifts = [[Fraction(0)] * cfg.horiz_dim for _ in cfg.generators]
+    for blk in cfg.layout.blocks:
+        for gi in blk.generators:  # the superdiagonal entries come first
+            lifts[gi][blk.horiz] = map(to_fraction, cfg.generators[gi][:blk.dim - 1])
     return lifts
 
 
@@ -957,18 +951,10 @@ def obstruction_search(cfg: OrbitConfig, window: Optional[WindowPlan], N: int,
 
     # binomial-basis coefficient vector of q_i(h) + p_i(N+h) per function
     vecs: list[list] = []
-    order_iter = iter(window.orders) if window is not None else iter(())
+    orders = iter(window.orders) if window is not None else iter(())
     for snp, poly in zip(snp_parts, poly_parts):
-        mono: list = [Fraction(0)]
-        if snp is not None:
-            k_i = next(order_iter)
-            tw = taylor_window(snp, N, k_i, L_at_N)
-            mono = list(tw.coeffs)
-        for j, c in enumerate(_poly_shift_coeffs(poly, N)):
-            if j < len(mono):
-                mono[j] = mono[j] + c
-            else:
-                mono.append(c)
+        mono = [Fraction(0)] if snp is None else taylor_window(snp, N, next(orders), L_at_N).coeffs
+        mono = [a + b for a, b in zip_longest(mono, _poly_shift_coeffs(poly, N), fillvalue=0)]
         vecs.append(list(to_binomial_basis(mono).coeffs))
 
     # the window polynomial of k has the binomial coefficients sum_l k_l w_lj,

@@ -40,6 +40,7 @@ from .hardy import (
     PreconditionError,
     classify,
     coeff_pair,
+    decompose_nontrivial,
     derivative,
     differentiate,
     evaluate,
@@ -164,6 +165,28 @@ def order_for_power(f: HardyExpr, gamma: Fraction) -> Optional[int]:
         k, gk = k + 1, gk1
 
 
+def _plan_at(inputs: tuple[HardyExpr, ...], gamma: Fraction) -> Optional[WindowPlan]:
+    """L(t) = t^gamma with each input's order; None if an input's classes miss it."""
+    orders = tuple(order_for_power(f, gamma) for f in inputs)
+    return (None if None in orders
+            else WindowPlan(HardyExpr.monomial(1, gamma), gamma, orders, inputs))
+
+
+def window_plan(functions: Sequence[HardyExpr], gamma: Optional[Fraction]) -> Optional[WindowPlan]:
+    """The plan for the functions' non-polynomial parts (:func:`hardy.decompose_nontrivial`),
+    None if there are none: at a pinned gamma, else by :func:`find_common_window`."""
+    inputs = tuple(rest for _, rest in map(decompose_nontrivial, functions) if rest is not None)
+    if not inputs:
+        return None
+    if gamma is None:
+        return find_common_window(inputs)
+    plan = _plan_at(inputs, gamma)
+    if plan is None:
+        missed = next(f for f in inputs if order_for_power(f, gamma) is None)
+        raise PreconditionError(f"t^{gamma} is not admissible for {missed}")
+    return plan
+
+
 def find_common_window(inputs: Sequence[HardyExpr], max_depth: int = 64) -> WindowPlan:
     """Pick L(t) = t^gamma with an admissible order for every input.
 
@@ -177,11 +200,8 @@ def find_common_window(inputs: Sequence[HardyExpr], max_depth: int = 64) -> Wind
     for f in inputs:
         _window_precheck(f)
     for depth in range(1, max_depth + 1):
-        gamma = Fraction(depth, depth + 1)
-        orders = [order_for_power(f, gamma) for f in inputs]
-        if all(k is not None for k in orders):
-            plan = WindowPlan(HardyExpr.monomial(1, gamma), gamma, tuple(orders), inputs)
-            assert plan.validate()
+        plan = _plan_at(inputs, Fraction(depth, depth + 1))
+        if plan is not None:
             return plan
     detail = "; ".join(
         f"{f}: lower(min_order)={class_bounds(f, min_order(f)).lower}" for f in inputs)
@@ -196,7 +216,8 @@ def eventual_sign(f: HardyExpr) -> tuple[int, float]:
 
     Past the threshold every non-dominant/dominant term ratio is decreasing
     (each ratio t^a log^b with (a,b) < (0,0) decreases once log t > b/(-a))
-    and their sum is at most 1/2, so the dominant term's sign wins.
+    and their sum is at most 1/2, so the dominant term's sign wins.  A
+    threshold beyond the float range is refused.
     """
     if f.is_zero:
         return 0, 1.0
@@ -209,7 +230,10 @@ def eventual_sign(f: HardyExpr) -> tuple[int, float]:
         a = term.power - dom.power
         b = term.logpow - dom.logpow
         if a < 0 and b > 0:
-            t_mono = max(t_mono, math.exp(float(Fraction(b) / -a)))
+            try:
+                t_mono = max(t_mono, math.exp(float(Fraction(b) / -a)))
+            except OverflowError:
+                raise PreconditionError(f"the sign of {f} settles beyond float range") from None
     ratio_sum = lambda t: sum(
         abs(evaluate(HardyExpr((term,)), t)) for term in f.terms[1:]
     ) / abs(evaluate(HardyExpr((dom,)), t))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbit import averages as A, hardy as H, orbits as O
+from nilorbit import averages as A, cli, hardy as H, orbits as O
 from nilorbit.constants import REGISTRY
+from nilorbit.ddmath import to_fraction
 
 
 def factor(block_dim, generator, fn, test, base=None):
@@ -251,3 +252,63 @@ class TestDependentInstance:
         # the spanning set is dependent; the independent basis has rank 2
         idx = H.maximal_independent_subset(list(e.cfg.functions))
         assert len(idx) == 2
+
+
+class TestMixedBlockSizes:
+    """A product of a 2x2 and a 3x3 block, in both orders: block i starts at
+    coordinate offset sum b(b-1)/2 and at horizontal offset sum (b - 1) over
+    the blocks before it, which only blocks of different sizes tell apart."""
+
+    GENERATOR = {2: ["phi"], 3: ["sqrt2", "sqrt3", "1/3"]}
+    BASE = {2: ["1/5"], 3: ["1/7", "2/7", "3/7"]}
+    FUNCTION = {2: "t^{3/2}", 3: "t*log(t)"}
+    K = {2: [1], 3: [2, -1]}
+    # Malcev columns of each block's superdiagonal (its horizontal coordinates)
+    HORIZ_COLS = {(2, 3): [0, 1, 2], (3, 2): [0, 1, 3]}
+
+    @pytest.fixture(params=[(2, 3), (3, 2)], ids=["2-3", "3-2"])
+    def blocks(self, request):
+        return request.param
+
+    def experiment(self, blocks, grid=(10 ** 3,)):
+        return exp_of(*(factor(b, self.GENERATOR[b], self.FUNCTION[b],
+                               {"type": "horizontal_character", "k": self.K[b]}, self.BASE[b])
+                        for b in blocks), grid=grid)
+
+    def test_coordinates_and_horizontal_columns(self, blocks):
+        cfg = self.experiment(blocks).cfg
+        assert (cfg.coords_dim, cfg.horiz_dim) == (4, 3)
+        _, coords, horiz = O.OrbitEngine(cfg).samples(1, 3000)
+        assert np.array_equal(horiz, coords[:, self.HORIZ_COLS[blocks]])
+        c0 = 0
+        for b in blocks:  # each block's columns are those of its own orbit
+            alone = exp_of(factor(b, self.GENERATOR[b], self.FUNCTION[b], {"type": "one"},
+                                  self.BASE[b])).cfg
+            _, own, _ = O.OrbitEngine(alone).samples(1, 3000)
+            assert np.array_equal(coords[:, c0:c0 + b * (b - 1) // 2], own)
+            c0 += b * (b - 1) // 2
+
+    def test_generator_horizontal_lifts(self, blocks):
+        lifts = O.generator_horizontal_lifts(self.experiment(blocks).cfg)
+        zero = [F(0)] * 3
+        h0 = 0
+        for gi, b in enumerate(blocks):
+            want = list(zero)
+            want[h0:h0 + b - 1] = [to_fraction(O.as_entry(v))
+                                   for v in self.GENERATOR[b][:b - 1]]
+            assert lifts[gi] == want
+            h0 += b - 1
+
+    def test_multiple_average_equals_weyl_sum(self, blocks):
+        e = self.experiment(blocks)
+        k = [x for b in blocks for x in self.K[b]]
+        for N in (1000, 20000):
+            assert abs(A.multiple_average(e, N) - O.weyl_sum(e.cfg, k, N)) < 1e-12
+
+    def test_obstruction_search_runs(self, blocks):
+        cfg = self.experiment(blocks).cfg
+        plan = cli.build_window({}, cfg)
+        r = O.obstruction_search(cfg, plan, 10 ** 4, 2, keep_norms=True)
+        assert len(r.argmin) == 3 and any(r.argmin) and max(map(abs, r.argmin)) <= 2
+        assert len(r.norms_by_frequency) == 5 ** 3 - 1
+        assert r.min_norm == min(r.norms_by_frequency.values()) >= 0.0

@@ -278,6 +278,15 @@ BAD_INPUTS = {
     "N_grid abc": ({"N_grid": "abc"}, ["discrepancy"]),
     **{f"window gamma {k}": ({"window": {"gamma": v}}, ["obstruction", "--N", "1e3"])
        for k, v in BAD_ENTRIES.items() if k != "1e999"},  # "1e999" parses as a rational gamma
+    # a bump on a repeated coordinate has no 2^-m integral
+    "bump coords [0, 0]": ({"tests": [{"type": "bump", "coords": [0, 0]}]},
+                           ["average", "--grid", "1e3"]),
+    # frequencies beyond int64
+    "average k 1e29": ({"tests": [{"type": "horizontal_character", "k": [10 ** 29]}]},
+                       ["average", "--grid", "1e3"]),
+    "weyl k 1e29": ({"tests": [{"type": "horizontal_character", "k": [10 ** 29]}]},
+                    ["weyl", "--N", "100"]),
+    "weyl --m 1e23": ({}, ["weyl", "--N", "100", "--m", str(10 ** 23)]),
 }
 # inputs that parse but are refused: a window exponent outside (0, 1) or one whose
 # Taylor remainder overflows a float, and generator entries whose orbit entries or
@@ -293,6 +302,12 @@ REFUSED_INPUTS = {
     "obstruction 1e300": ({**GROUP3, "generators": [[1e300, 1e300, 0]],
                            "functions": ["100000*t^2"]},
                           ["obstruction", "--N", "100", "--Mmax", "1"], cli.EXIT_PRECISION),
+    # a log term just below the dominant power: the eventual sign of the window
+    # remainder's derivative sets in only past exp(5000)
+    "obstruction t^{1499/1000} log^5": ({"generators": [["sqrt2"]],
+                                          "functions": ["t^{3/2} + t^{1499/1000}*log(t)^5"]},
+                                         ["obstruction", "--N", "1e4", "--Mmax", "1"],
+                                         cli.EXIT_PRECONDITION),
 }
 EXIT_CASES = {**{k: (*v, cli.EXIT_CONFIG) for k, v in BAD_INPUTS.items()}, **REFUSED_INPUTS}
 EXIT_PREFIX = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_PRECONDITION: "precondition error: ",

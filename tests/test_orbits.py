@@ -359,6 +359,21 @@ class TestTestFunctionDictionary:
         with pytest.raises(ValueError, match="unknown test function"):
             O.make_test_function({"type": "mystery"}, 3, 2)
 
+    def test_bump_coordinates_distinct(self):
+        # (1 + cos 2 pi x)^2 / 4 integrates to 3/8, not 1/4
+        with pytest.raises(ValueError, match="repeat"):
+            O.make_test_function({"type": "bump", "coords": [0, 0]}, 1, 1)
+
+    @pytest.mark.parametrize("spec", [{"type": "horizontal_character", "k": [10 ** 29, 0]},
+                                      {"type": "coordinate_character", "m": [0, 0, -10 ** 19]}])
+    def test_frequencies_beyond_int64(self, spec):
+        with pytest.raises(ValueError, match="int64"):
+            O.make_test_function(spec, 3, 2)
+
+    def test_weyl_sum_frequency_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            O.weyl_sum(torus_cfg("phi"), [10 ** 23], 10)
+
     def test_bump_values_and_integral(self):
         f = O.make_test_function({"type": "bump", "coords": [0, 1]}, 2, 1)
         assert f.integral == complex(F(1, 4))
