@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hardy import HardyExpr, PreconditionError, check_P2, evaluate, floor_at
-from .orbits import OrbitConfig, TestFunction, chunked_mean, make_test_function
+from .orbits import OrbitConfig, TestFunction, character, chunked_mean, make_test_function
 from .windows import decreasing_abs_threshold
 
 
@@ -55,12 +55,27 @@ class AverageExperiment:
         return self.cfg  # the benchmark tracer (perfbench/tracer.py) binds this name
 
     def integrand(self):
-        """Product of the block test functions on their blocks' columns (views)."""
-        parts = list(zip(self.tests, self.cfg.layout.blocks))
+        """Product of the block test functions on their blocks' columns (views).
+
+        The characters among them multiply to one character of the product:
+        its phase is summed once per sample over the nonzero frequencies,
+        block by block in column order, and exponentiated once
+        (:func:`~nilorbit.orbits.character`); the other factors multiply it
+        in block order."""
+        layout = self.cfg.layout
+        terms, others = [], []  # (coordinate column, frequency); (test, block)
+        for test, blk in zip(self.tests, layout.blocks):
+            if test.character is None:
+                others.append((test, blk))
+                continue
+            horizontal, k = test.character
+            cols = (layout.horiz_cols[blk.horiz] if horizontal
+                    else range(layout.coords_dim)[blk.coords])
+            terms.extend(zip(cols, k))
 
         def fn(ns, coords, horiz):
-            out = None
-            for test, blk in parts:
+            out = character(((coords[:, c], k) for c, k in terms), len(ns)) if terms else None
+            for test, blk in others:
                 v = test(coords[:, blk.coords], horiz[:, blk.horiz])
                 out = v if out is None else out * v
             return out

@@ -188,6 +188,12 @@ class _DDKernel:
         return x[0] + x[1]
 
     @staticmethod
+    def hi(x):
+        """The float of a normalized pair, such as ``floor_frac`` returns:
+        its high word, since |lo| <= ulp(hi)/2 rounds away in hi + lo."""
+        return x[0]
+
+    @staticmethod
     def add(x, y):
         s1, s2 = two_sum(x[0], y[0])
         t1, t2 = two_sum(x[1], y[1])
@@ -195,6 +201,16 @@ class _DDKernel:
         s1, s2 = quick_two_sum(s1, s2)
         s2 = s2 + t2
         return quick_two_sum(s1, s2)
+
+    @staticmethod
+    def add_float(x, c):
+        """x + c for a float c: the TwoSum of the high words, the low word
+        added to its error, one Fast2Sum; the bits of add(x, (c, 0)) up to
+        the sign of a zero low word.  Exact for an integral x plus an integer
+        c while the sum fits the pair."""
+        s, e = two_sum(x[0], c)
+        e += x[1]
+        return quick_two_sum(s, e)
 
     @staticmethod
     def sub(x, y):
@@ -391,7 +407,8 @@ class _FPKernel:
     def to_float(x):
         return x
 
-    add = staticmethod(np.add)
+    hi = to_float
+    add = add_float = staticmethod(np.add)
     sub = staticmethod(np.subtract)
     neg = staticmethod(np.negative)
     mul = staticmethod(np.multiply)
@@ -438,7 +455,9 @@ FP = _FPKernel
 
 # Vectorized callers work through long arrays in blocks of this many entries:
 # the temporaries of a DD operation on them stay in cache, which makes the
-# operation several times faster per entry than on a 65536-entry chunk.
+# operation several times faster per entry than on 65536 entries.  The orbit
+# engine's chunk (``orbits.CHUNK``) is one block, so a chunk's coordinates,
+# cells and integrands stay as small as the engine's temporaries.
 BLOCK = 1 << 14
 
 U = 2.0 ** -53  # unit roundoff of float64

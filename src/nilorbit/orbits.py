@@ -77,7 +77,7 @@ from .hardy import (
 )
 from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window, window_layout
 
-CHUNK = 1 << 16
+CHUNK = BLOCK  # samples per chunk of the walk: one engine block
 DEFAULT_N_CAP = 10 ** 7
 
 
@@ -392,7 +392,7 @@ class OrbitEngine:
                 s, bound = t.evaluate(ns, floor, layouts[t.s])
                 if floor:
                     s, frac = K.floor_frac(s)
-                    frac = K.to_float(frac)
+                    frac = K.hi(frac)
                     for i in np.flatnonzero(np.minimum(frac, 1.0 - frac) < 2.0 * bound):
                         s[0][i], s[1][i] = K.from_fraction(Fraction(floor_at(f, int(ns[i]))))
                 out.append(s)
@@ -414,10 +414,11 @@ class OrbitEngine:
 
         Where a fractional part rounds to 1, the coordinate is 0 and the
         floor one more, before the column updates use it, so that the
-        dependent entries stay consistent with it.  A NaN coordinate (an
-        entry beyond float range) raises PrecisionCapError.  An update into
-        a leaf, an entry read only as the float of its fractional part, is
-        one ``add_prod``.
+        dependent entries stay consistent with it; the DD fractional part
+        drops by 1 only where a later step reads it as a column entry.  A
+        NaN coordinate (an entry beyond float range) raises
+        PrecisionCapError.  An update into a leaf, an entry read only as the
+        float of its fractional part, is one ``add_prod``.
         """
         K = self.K
         for col, step in enumerate(steps):
@@ -428,7 +429,7 @@ class OrbitEngine:
             (i, j), rows, is_column, leaves = step
             if rows or is_column:
                 m, frac = K.floor_frac(x)
-                f = K.to_float(frac)
+                f = K.hi(frac)
             else:  # a leaf
                 f = K.frac_float(x)
             if not f.max(initial=0.0) < 1.0:  # a fractional part rounded to 1, or a NaN
@@ -437,9 +438,11 @@ class OrbitEngine:
                         "a coordinate is not a finite number: an entry is beyond float range")
                 carry = f >= 1.0
                 f = np.where(carry, 0.0, f)
-                if rows or is_column:
-                    one = K.from_float(carry.astype(np.float64))
-                    m, frac = K.add(m, one), K.sub(frac, one)
+                carry = carry.astype(np.float64)
+                if rows:  # an integer plus 0 or 1, exact
+                    m = K.add_float(m, carry)
+                if is_column:
+                    frac = K.sub(frac, K.from_float(carry))
             out[col] = f
             if is_column:
                 E[(i, j)] = frac
@@ -509,9 +512,11 @@ def orbit_point(cfg: OrbitConfig, n: int) -> OrbitSample:
 
 
 def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, reduce: Callable, workers: int = 1):
-    """Yield reduce(ns, coords, horiz) of each fixed-size chunk of [n0, n1], in order.
+    """Yield reduce(ns, coords, horiz) of each CHUNK-sample chunk of [n0, n1], in order.
 
-    The range is checked at the call.  Each chunk is reduced where it is
+    A chunk is one engine block (CHUNK = BLOCK), so the arrays a chunk
+    hands to its reducer are as small as the engine's temporaries.  The
+    range is checked at the call.  Each chunk is reduced where it is
     computed, in a worker thread when ``workers`` > 1, and at most
     ``workers`` chunks are computed ahead of the caller; chunks are
     independent, so every worker count yields the same values.
@@ -560,7 +565,8 @@ def chunked_mean(cfg: OrbitConfig, integrand: Callable[[np.ndarray, np.ndarray, 
 
     The mean at N tree-sums the whole-chunk partials before N's chunk and the
     sum of that chunk's prefix up to N, so it is bit-identical to a call with
-    ``ends = (N,)`` and to any worker count.
+    ``ends = (N,)`` and to any worker count.  The partials are those of
+    CHUNK-sample chunks: another chunk size moves a mean in its last bits.
     """
     ends = list(ends)
     if not ends or ends[0] < n0 or any(a >= b for a, b in zip(ends, ends[1:])):
@@ -588,6 +594,23 @@ def _e(phase: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (phase - np.floor(phase)))
 
 
+def character_phase(columns: Iterable[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """sum_l k_l x_l over the (x_l, k_l) of ``columns`` with k_l != 0, in
+    their order, at n samples: one product and one sum per term in float64,
+    so the rounding is fixed (a BLAS matvec may pick its own order)."""
+    phase = None
+    for x, k in columns:
+        if k:
+            term = x * float(k)
+            phase = term if phase is None else np.add(phase, term, out=phase)
+    return np.zeros(n) if phase is None else phase
+
+
+def character(columns: Iterable[tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """e(sum_l k_l x_l), the phase from :func:`character_phase`."""
+    return _e(character_phase(columns, n))
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Dictionary entry with a known Haar/Lebesgue integral.
@@ -602,6 +625,8 @@ class TestFunction:
     integral: Optional[complex]
     continuous: bool
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (coords, horiz) -> values
+    # of a character e(sum_l k_l x_l): (horizontal, k), x the horiz or coords columns
+    character: Optional[tuple[bool, tuple[int, ...]]] = None
 
     def __call__(self, coords: np.ndarray, horiz: np.ndarray) -> np.ndarray:
         return self.fn(coords, horiz)
@@ -621,9 +646,14 @@ def make_test_function(spec: dict, coords_dim: int, horiz_dim: int) -> TestFunct
             raise ValueError(f"{what} frequencies beyond the int64 range") from None
         if k.shape != (dim,):
             raise ValueError(f"{what} needs {dim} frequencies")
-        return TestFunction(f"{'chi' if horizontal else 'coord'}{tuple(int(x) for x in k)}",
-                            1 + 0j if not k.any() else 0j, horizontal,
-                            lambda coords, horiz: _e((horiz if horizontal else coords) @ k))
+        k = tuple(int(x) for x in k)
+
+        def fn(coords, horiz):
+            x = horiz if horizontal else coords
+            return character(((x[:, l], kl) for l, kl in enumerate(k)), len(x))
+
+        return TestFunction(f"{'chi' if horizontal else 'coord'}{k}", 1 + 0j if not any(k) else 0j,
+                            horizontal, fn, (horizontal, k))
     if kind == "bump":
         idx = tuple(spec.get("coords", range(coords_dim)))
         if any(i < 0 or i >= coords_dim for i in idx):

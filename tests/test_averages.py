@@ -232,9 +232,59 @@ class TestIndependentPairInstance:
         a = A.multiple_average(e, N)
         assert A.predicted_limit(e) == 0j
         assert abs(a) <= 0.01  # pilot-scale value 0.00054
-        # same quantity through the Weyl path, up to a different rounding
-        # order (product of exponentials vs one combined phase)
-        assert abs(a - O.weyl_sum(e.cfg, [1, 0, 0, 1], N)) < 1e-12
+        # the same quantity through the Weyl path: the folded character sums
+        # the same phase in the same column order
+        assert a == O.weyl_sum(e.cfg, [1, 0, 0, 1], N)
+
+
+class TestFoldedCharacter:
+    """The characters of an experiment multiply to one character of the
+    product: its phase summed over the nonzero frequencies, block by block
+    in column order, and exponentiated once per sample."""
+
+    @pytest.fixture(params=["heisenberg_pair", "pointwise_dependent"])
+    def experiment(self, request):
+        import json
+        from pathlib import Path
+
+        doc = json.loads((Path(__file__).resolve().parent.parent
+                          / "instances" / f"{request.param}.json").read_text())
+        return cli.build_experiment(doc)
+
+    @staticmethod
+    def columns(exp):
+        """(coordinate column, frequency) of each nonzero frequency, in order."""
+        layout = exp.cfg.layout
+        return [(layout.horiz_cols[blk.horiz][l], k)
+                for test, blk in zip(exp.tests, layout.blocks)
+                for l, k in enumerate(test.character[1]) if k]
+
+    def test_equals_product_of_block_characters(self, experiment):
+        cols = self.columns(experiment)
+        # float64 rounding: the phase sum and the exponentials, each a few
+        # units of u = 2^-53 of 2 pi (sum |k| + factors)
+        size = sum(abs(k) for _, k in cols) + len(experiment.tests)
+        tol = 2 * math.pi * 2.0 ** -53 * (len(cols) + 1) * size
+        engine = O.OrbitEngine(experiment.cfg)
+        for a in (1, 10 ** 6 - O.CHUNK + 1):
+            ns, coords, horiz = engine.samples(a, a + O.CHUNK - 1)
+            want = np.ones(len(ns), dtype=complex)
+            for test, blk in zip(experiment.tests, experiment.cfg.layout.blocks):
+                want *= O._e(horiz[:, blk.horiz] @ np.array(test.character[1]))
+            got = experiment.integrand()(ns, coords, horiz)
+            assert np.abs(got - want).max() <= tol
+
+    def test_phase_summed_in_column_order(self, experiment):
+        cols = self.columns(experiment)
+        ns, coords, horiz = O.OrbitEngine(experiment.cfg).samples(10 ** 6 - 999, 10 ** 6)
+        phase = O.character_phase(((coords[:, c], k) for c, k in cols), len(ns))
+        for i in np.random.default_rng(2).choice(len(ns), 50, replace=False):
+            p = None
+            for c, k in cols:
+                t = float(coords[i, c]) * float(k)
+                p = t if p is None else p + t
+            assert np.float64(p).tobytes() == phase[i].tobytes()
+        assert experiment.integrand()(ns, coords, horiz).tobytes() == O._e(phase).tobytes()
 
 
 class TestDependentInstance:

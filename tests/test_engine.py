@@ -39,7 +39,8 @@ def test_entry_polynomials_on_a_dd_variable():
 
 
 HEIS_PAIR = json.loads((ROOT / "instances" / "heisenberg_pair.json").read_text())
-CHUNK15 = 1 + 15 * O.CHUNK  # the chunk that holds n = 1e6
+SPAN = 1 << 16  # samples per test span, four engine chunks
+SPAN15 = 1 + 15 * SPAN  # the span that holds n = 1e6
 
 
 def test_carry_at_lattice_discontinuities():
@@ -57,8 +58,8 @@ def test_carry_at_lattice_discontinuities():
 def test_heisenberg_irrational_entries_with_base_point_near_1e6():
     doc = make_doc(3, [["sqrt3", "pi", "e"]], ["t^{3/2}"], ["1/3", "2/7", "5/9"])
     rng = np.random.default_rng(1)
-    picks = sorted(CHUNK15 + int(i) for i in rng.choice(O.CHUNK, 40, replace=False))
-    assert check_rows(doc, CHUNK15, CHUNK15 + O.CHUNK - 1, picks) > 0.0
+    picks = sorted(SPAN15 + int(i) for i in rng.choice(SPAN, 40, replace=False))
+    assert check_rows(doc, SPAN15, SPAN15 + SPAN - 1, picks) > 0.0
 
 
 def test_4x4_block_with_base_point():
@@ -69,8 +70,8 @@ def test_4x4_block_with_base_point():
     order = O.coordinate_order(4)
     (blk,) = O.OrbitEngine(cli.build_orbit_config(doc)).blocks
     assert order.index((2, 3)) < order.index((0, 2)) and 0 in blk.steps[order.index((2, 3))][1]
-    n0 = 1 + 2 * O.CHUNK
-    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1637))
+    n0 = 1 + 2 * SPAN
+    check_rows(doc, n0, n0 + SPAN - 1, range(n0, n0 + SPAN, 1637))
 
 
 def test_commuting_generators_fold_base_into_last():
@@ -81,8 +82,8 @@ def test_commuting_generators_fold_base_into_last():
     engine = O.OrbitEngine(cli.build_orbit_config(doc))
     (blk,) = engine.blocks
     assert len(blk.gens) == 2 and (1, 2) in blk.gens[1][1] and (1, 2) not in blk.gens[0][1]
-    n0 = 1 + O.CHUNK
-    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1999))
+    n0 = 1 + SPAN
+    check_rows(doc, n0, n0 + SPAN - 1, range(n0, n0 + SPAN, 1999))
     # b_1 b_2 != b_2 b_1: (0,2) of the commutator is phi e - sqrt2 pi, and in
     # 4x4 the pair differs in (0,2), (1,3) and (0,3)
     non_commuting = [
@@ -91,11 +92,11 @@ def test_commuting_generators_fold_base_into_last():
         make_doc(4, [["sqrt2", "sqrt3", 0, "1/5", 0, 0], [0, "pi", "e", 0, "1/7", 0]],
                  ["t^{5/4}", "t*log(t)"], ["1/2", "1/3", "1/5", "2/7", "3/11", "5/13"]),
     ]
-    n0 = 1 + 3 * O.CHUNK
+    n0 = 1 + 3 * SPAN
     for doc in non_commuting:
         for mode in ("real", "floor"):
-            check_rows(dict(doc, floor_mode=mode), n0, n0 + O.CHUNK - 1,
-                       range(n0, n0 + O.CHUNK, 4001))
+            check_rows(dict(doc, floor_mode=mode), n0, n0 + SPAN - 1,
+                       range(n0, n0 + SPAN, 4001))
 
 
 
@@ -112,8 +113,8 @@ def test_leaf_updates_against_the_oracle(doc):
     leaf_updates = [(step[0], r) for step in blk.steps if step is not None
                     for r, leaf in zip(step[1], step[3]) if leaf]
     assert leaf_updates
-    n0 = 1 + 3 * O.CHUNK
-    check_rows(doc, n0, n0 + O.CHUNK - 1, range(n0, n0 + O.CHUNK, 1013))
+    n0 = 1 + 3 * SPAN
+    check_rows(doc, n0, n0 + SPAN - 1, range(n0, n0 + SPAN, 1013))
 
 
 def test_double_kernel_same_reduction_path():
@@ -133,8 +134,8 @@ def test_single_index_equals_chunk_row_on_seeded_config():
                                        "pi", 0], ["sqrt5", "2", "e"]],
                base_point=["1/3", "3/4", "2/9", "5/7", "1/2", "4/9"])
     engine = O.OrbitEngine(cli.build_orbit_config(doc))
-    _, coords, horiz = engine.samples(CHUNK15, CHUNK15 + O.CHUNK - 1)
-    for n in (CHUNK15, CHUNK15 + 1, CHUNK15 + 12345, 10 ** 6, CHUNK15 + O.CHUNK - 1):
+    _, coords, horiz = engine.samples(SPAN15, SPAN15 + SPAN - 1)
+    for n in (SPAN15, SPAN15 + 1, SPAN15 + 12345, 10 ** 6, SPAN15 + SPAN - 1):
         _, c1, h1 = engine.samples(n, n)
-        assert c1[0].tobytes() == coords[n - CHUNK15].tobytes()
-        assert h1[0].tobytes() == horiz[n - CHUNK15].tobytes()
+        assert c1[0].tobytes() == coords[n - SPAN15].tobytes()
+        assert h1[0].tobytes() == horiz[n - SPAN15].tobytes()

@@ -22,7 +22,8 @@ from nilorbit.ddmath import U2
 
 ROOT = Path(__file__).resolve().parent.parent
 FUNCTIONS = ["t^{3/2}", "t*log(t)", "t^{5/2}", "t^{1/2}*log(t)"]
-RANGE_STARTS = [1, 10 ** 3, 10 ** 5, 10 ** 6, 10 ** 7 - O.CHUNK]
+SPAN = 1 << 16  # samples per test span: four engine chunks, 1 + 15 * SPAN holds n = 1e6
+RANGE_STARTS = [1, 10 ** 3, 10 ** 5, 10 ** 6, 10 ** 7 - SPAN]
 LATE_MONOTONE = "1/7*t^{5/4} + 1/3*t*log(t)^3"  # |f^(K+1)| decreases only past ~1e22
 
 
@@ -46,7 +47,7 @@ def test_error_within_certified_bound(text):
     ev = W.AnchoredTaylor(f)
     rng = np.random.default_rng(7)
     for a in RANGE_STARTS:
-        ns = np.arange(a, a + O.CHUNK, dtype=np.int64)
+        ns = np.arange(a, a + SPAN, dtype=np.int64)
         (hi, lo), bound = ev.evaluate(ns)
         ends = _window_ends(ev, ns)
         pick = np.concatenate([ends[:: max(1, len(ends) // 12)],
@@ -140,7 +141,7 @@ def test_dd_exponents_never_evaluate_directly(path, monkeypatch):
         monkeypatch.setattr(module, "evaluate_kernel", refuse, raising=False)
     cfg = cli.build_orbit_config(cli.load_config(str(path)))
     assert cfg.precision == "dd"
-    O.OrbitEngine(cfg).exponents(np.arange(1, O.CHUNK + 1, dtype=np.int64))
+    O.OrbitEngine(cfg).exponents(np.arange(1, SPAN + 1, dtype=np.int64))
 
 
 def test_rational_polynomials_exact_in_real_mode():
@@ -177,9 +178,9 @@ def test_dd_index_range_ends_below_2_pow_52(tmp_path):
 def test_single_index_equals_chunk_row_bit_for_bit():
     cfg = cli.build_orbit_config(cli.load_config(str(ROOT / "instances/heisenberg_pair.json")))
     engine = O.OrbitEngine(cfg)
-    for a in (1, 1 + 15 * O.CHUNK):
-        ns, coords, _ = engine.samples(a, a + O.CHUNK - 1)
-        for n in (a, a + 1, a + 2046, a + 2047, a + 4097, a + 30001, a + O.CHUNK - 1):
+    for a in (1, 1 + 15 * SPAN):
+        ns, coords, _ = engine.samples(a, a + SPAN - 1)
+        for n in (a, a + 1, a + 2046, a + 2047, a + 4097, a + 30001, a + SPAN - 1):
             _, one, _ = engine.samples(n, n)
             assert one[0].tobytes() == coords[n - a].tobytes(), n
     # the exponents themselves, on an index set unrelated to any chunk
@@ -201,11 +202,11 @@ def test_octave_tables_serve_any_index_set_bit_for_bit(text):
     2^e - 1 / 2^e, each on a fresh evaluator (so from its own octave tables),
     give the same values and bounds."""
     f = H.parse(text)
-    a = 2 ** 20 - O.CHUNK // 2  # the chunk straddles 2^20
-    ns = np.arange(a, a + O.CHUNK, dtype=np.int64)
+    a = 2 ** 20 - SPAN // 2  # the span straddles 2^20
+    ns = np.arange(a, a + SPAN, dtype=np.int64)
     chunk = W.AnchoredTaylor(f).evaluate(ns)
     rng = np.random.default_rng(3)
-    sparse = np.concatenate([[2 ** 20, 2 ** 20 - 1, a + O.CHUNK - 1, a],
+    sparse = np.concatenate([[2 ** 20, 2 ** 20 - 1, a + SPAN - 1, a],
                              rng.choice(ns, 60, replace=False)])
     got = W.AnchoredTaylor(f).evaluate(sparse)
     assert _bits(*got) == _bits((chunk[0][0][sparse - a], chunk[0][1][sparse - a]),
@@ -216,7 +217,7 @@ def test_octave_tables_serve_any_index_set_bit_for_bit(text):
         whole = W.AnchoredTaylor(f).evaluate(np.array([7, 2 ** 12 - 1, 2 ** 12, n, 2 ** 30 + 5],
                                                        dtype=np.int64))
         assert _bits(value, bound) == _bits((whole[0][0][3:4], whole[0][1][3:4]), whole[1][3:4])
-        if a <= n < a + O.CHUNK:
+        if a <= n < a + SPAN:
             i = n - a
             assert _bits(value, bound) == _bits((chunk[0][0][i:i + 1], chunk[0][1][i:i + 1]),
                                                 chunk[1][i:i + 1])
@@ -249,8 +250,8 @@ def test_floor_mode_rows_equal_single_points_across_blocks():
     assert cfg.floor_mode is O.FloorMode.FLOOR
     engine = O.OrbitEngine(cfg)
     n0 = 900_001  # odd: no block starts a window
-    ns, coords, _ = engine.samples(n0, n0 + O.CHUNK - 1)
-    straddle = [n0 + b + d for b in range(O.BLOCK, O.CHUNK, O.BLOCK) for d in (-1, 0)]
+    ns, coords, _ = engine.samples(n0, n0 + SPAN - 1)
+    straddle = [n0 + b + d for b in range(O.BLOCK, SPAN, O.BLOCK) for d in (-1, 0)]
     for t in engine.taylor:
         p = int(np.frexp(float(n0))[1]) - 1 - t.s
         assert p > 0 and all((n >> p) == ((n + 1) >> p) for n in straddle[::2])
@@ -271,10 +272,10 @@ def test_floor_mode_exact_at_perfect_squares():
     got = [int(h) + int(l) for h, l in zip(hi, lo)]
     assert got == [int(m) ** 3 for m in range(1, 1001)]
     # the same inside whole chunks
-    for a in (1, 1 + 15 * O.CHUNK):
-        ns = np.arange(a, a + O.CHUNK, dtype=np.int64)
+    for a in (1, 1 + 15 * SPAN):
+        ns = np.arange(a, a + SPAN, dtype=np.int64)
         (hi, lo), = engine.exponents(ns)
-        for n in squares[(squares >= a) & (squares < a + O.CHUNK)]:
+        for n in squares[(squares >= a) & (squares < a + SPAN)]:
             assert int(hi[n - a]) + int(lo[n - a]) == H.floor_at(f, int(n))
 
 

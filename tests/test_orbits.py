@@ -170,6 +170,22 @@ class TestChunkedMean:
             ref = np.mean(self.integrand(*engine.samples(n0, N)))
             assert abs(mean - ref) < 1e-12
 
+    def test_chunk_size_moves_means_only_in_last_bits(self, monkeypatch):
+        """A chunk is one engine block; at 2^16 samples the cell counts are
+        the same and the means differ only by the rounding of their chunk
+        partial sums."""
+        assert O.CHUNK == BLOCK
+        grid = (1000, 3 * BLOCK + 5, 4 * BLOCK, 150_000)
+        runs = []
+        for chunk in (BLOCK, 4 * BLOCK):
+            monkeypatch.setattr(O, "CHUNK", chunk)
+            runs.append((O.discrepancy_series(self.CFG, grid, 8),
+                         O.chunked_mean(self.CFG, self.integrand, 1, grid)))
+        (disc, means), (disc_4, means_4) = runs
+        assert disc == disc_4
+        for a, b in zip(means, means_4):
+            assert abs(a - b) <= 1e-15  # relative to the integrand's modulus, 1
+
     @pytest.mark.parametrize("ends", [(), (0, 10), (10, 10), (100, 10)])
     def test_bad_ends_refused(self, ends):
         with pytest.raises(H.PreconditionError, match="N grid"):
