@@ -334,9 +334,12 @@ def cmd_orbit(args) -> int:
     header = (["n"] + [f"coord_{i + 1}" for i in range(cfg.coords_dim)]
               + [f"horiz_{i + 1}" for i in range(cfg.horiz_dim)])
 
-    def text(ns, coords, horiz):  # the chunk's rows
-        return "".join(f"{n},{','.join(map(repr, c))},{','.join(map(repr, h))}\n"
-                       for n, c, h in zip(ns.tolist(), coords.tolist(), horiz.tolist()))
+    def text(ns, coords, horiz):
+        """The chunk's rows, formatted column by column: a horizontal
+        coordinate is a superdiagonal one, so its strings are reused."""
+        cols = [list(map(repr, x)) for x in coords.T.tolist()]
+        cols += [cols[c] for c in cfg.layout.horiz_cols]
+        return "\n".join(map(",".join, zip(map(str, ns.tolist()), *cols))) + "\n"
 
     chunks = orbits.iter_sample_chunks(cfg, 1, N, text, args.workers)  # checks N before --out opens
     with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as sink:
@@ -468,7 +471,25 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _keep_heap() -> None:
+    """Keep freed heap pages in the process (glibc ``mallopt``): blocks below
+    4 MiB, such as a chunk's 256 KiB arrays, come from the heap instead of
+    a fresh ``mmap`` each, and the heap top is returned to the system only
+    past 64 MiB free, so a chunk does not fault in its pages again.  Skipped
+    where the C library has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)

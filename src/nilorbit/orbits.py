@@ -51,11 +51,14 @@ box statistic runs in place, one slab of the grid at a time.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import operator
+import os
+import pickle
+import struct
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -78,6 +81,7 @@ from .hardy import (
 from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window, window_layout
 
 CHUNK = BLOCK  # samples per chunk of the walk: one engine block
+SLOTS = 4  # chunks whose exponents the forked helpers may hold ahead of the caller
 DEFAULT_N_CAP = 10 ** 7
 
 
@@ -475,15 +479,17 @@ class OrbitEngine:
             warnings.warn(f"evaluating beyond the precision cap (n={n1} > {cap}); "
                           "coordinate error grows with a(n)^(d-1)", stacklevel=3)
 
-    def samples(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def samples(self, n0: int, n1: int, exponents: Optional[list] = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinates for n in [n0, n1] inclusive: (ns, coords, horiz).
 
         The exponents are evaluated one BLOCK at a time, just before that
-        block's coordinates.  The coordinates fill the rows of a
-        (coords_dim, n) buffer, so that each is written and read
-        contiguously; coords and horiz are (n, ·) views of it and of its
-        horizontal rows.  An entry that overflows leaves a NaN coordinate,
-        which the reduction refuses.
+        block's coordinates, unless ``exponents`` gives those of all of
+        [n0, n1] as :meth:`exponents` returns them (pass it by keyword).  The
+        coordinates fill the rows of a (coords_dim, n) buffer, so that each
+        is written and read contiguously; coords and horiz are (n, ·) views
+        of it and of its horizontal rows.  An entry that overflows leaves a
+        NaN coordinate, which the reduction refuses.
         """
         self.check_range(n1)
         ns = np.arange(n0, n1 + 1, dtype=np.int64)
@@ -491,7 +497,10 @@ class OrbitEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(0, len(ns), BLOCK):
                 part = slice(b, b + BLOCK)
-                self._coordinates(self.exponents(ns[part]), buf[:, part])
+                expo = (self.exponents(ns[part]) if exponents is None else
+                        [tuple(x[part] for x in e) if isinstance(e, tuple) else e[part]
+                         for e in exponents])
+                self._coordinates(expo, buf[:, part])
         return ns, buf.T, buf[self.horiz_cols].T
 
     def _coordinates(self, expo, out):
@@ -516,33 +525,134 @@ def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, reduce: Callable, wor
 
     A chunk is one engine block (CHUNK = BLOCK), so the arrays a chunk
     hands to its reducer are as small as the engine's temporaries.  The
-    range is checked at the call.  Each chunk is reduced where it is
-    computed, in a worker thread when ``workers`` > 1, and at most
-    ``workers`` chunks are computed ahead of the caller; chunks are
-    independent, so every worker count yields the same values.
+    range is checked at the call.  Every chunk's samples and its reduction
+    run in the calling process.  With ``workers`` > 1, where ``os.fork``
+    exists, up to ``workers`` - 1 forked helpers (at most SLOTS) evaluate
+    the exponents of the chunks ahead (:func:`_with_helpers`); an exponent
+    depends on n alone, so every worker count yields the same values.
     """
     engine = OrbitEngine(cfg)
     engine.check_range(n1)
+    spans = [(a, min(a + CHUNK - 1, n1)) for a in range(n0, n1 + 1, CHUNK)]
+    helpers = min(workers - 1, SLOTS, len(spans) - 1)
+    if helpers < 1 or not hasattr(os, "fork"):
+        return (reduce(*engine.samples(a, b)) for a, b in spans)
+    return _with_helpers(engine, spans, reduce, helpers)
 
-    def work(a: int):
-        return reduce(*engine.samples(a, min(a + CHUNK - 1, n1)))
 
-    starts = range(n0, n1 + 1, CHUNK)
-    return (work(a) for a in starts) if workers <= 1 else _in_pool(work, starts, workers)
+def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: int):
+    """reduce(*engine.samples(a, b, exponents=...)) for each span (a, b), in
+    order, the exponents computed by forked helper processes.
+
+    Chunk j goes to helper j mod ``helpers``, which writes its exponents into
+    slot j mod SLOTS of a shared anonymous ``mmap`` made before the fork.  A
+    helper starts a chunk on a credit byte from the caller and reports it
+    done with a 4-byte length: 0, or the length of its pickled exception,
+    which the caller raises at that chunk.  The caller credits chunk
+    j + SLOTS once chunk j's samples are computed, so the helpers run at
+    most SLOTS chunks ahead.  A helper leaves only by ``os._exit``, when its
+    chunks are done, on EOF or a broken pipe (the caller is gone), or at
+    SIGTERM; the caller terminates and reaps every helper when the walk
+    ends, is closed or raises.
+    """
+    import mmap
+    import signal
+
+    width = 2 if engine.K is DD else 1  # arrays per exponent
+    rows = width * len(engine.cfg.functions)
+    ring = mmap.mmap(-1, SLOTS * rows * CHUNK * 8)
+    slots = np.frombuffer(ring, dtype=np.float64).reshape(SLOTS, rows, CHUNK)
+    procs = []  # (pid, credit pipe, done pipe) per helper
+
+    def credit(j: int) -> None:  # a helper that has left says why on its done pipe
+        with contextlib.suppress(BrokenPipeError):
+            os.write(procs[j % helpers][1], b"\0")
+
+    try:
+        for h in range(helpers):
+            credit_r, credit_w = os.pipe()
+            done_r, done_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (credit_r, credit_w, done_r, done_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                _helper(engine, list(enumerate(spans))[h::helpers], slots, credit_r, done_w,
+                        [credit_w, done_r, *(fd for _, *fds in procs for fd in fds)])
+            os.close(credit_r)
+            os.close(done_w)
+            procs.append((pid, credit_w, done_r))
+        for j in range(min(SLOTS, len(spans))):
+            credit(j)
+        for j, (a, b) in enumerate(spans):
+            size = struct.unpack("<I", _read_exactly(procs[j % helpers][2], 4))[0]
+            if size:
+                raise pickle.loads(_read_exactly(procs[j % helpers][2], size))
+            got = slots[j % SLOTS, :, :b - a + 1]
+            expo = [tuple(got[i:i + 2]) for i in range(0, rows, 2)] if width == 2 else list(got)
+            ns, coords, horiz = engine.samples(a, b, exponents=expo)
+            if j + SLOTS < len(spans):
+                credit(j + SLOTS)
+            yield reduce(ns, coords, horiz)
+    finally:
+        for pid, *fds in procs:
+            for fd in fds:
+                os.close(fd)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
-def _in_pool(work: Callable, tasks: Iterable, workers: int):
-    """work(t) for each task, in order; ``workers`` tasks run ahead of the caller."""
-    from concurrent.futures import ThreadPoolExecutor  # off the import path
+def _helper(engine: OrbitEngine, chunks: list, slots: np.ndarray, credits: int, done: int,
+            inherited: list) -> None:
+    """Body of a forked exponent helper (:func:`_with_helpers`), which closes
+    the caller's pipe ends ``inherited``; it never returns."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in OrbitEngine.samples
+            for j, (a, b) in chunks:
+                if not os.read(credits, 1):
+                    break  # the caller closed the walk or is gone
+                try:
+                    ns = np.arange(a, b + 1, dtype=np.int64)
+                    for c in range(0, len(ns), BLOCK):  # as OrbitEngine.samples
+                        block = ns[c:c + BLOCK]
+                        values = [x for e in engine.exponents(block)
+                                  for x in (e if isinstance(e, tuple) else (e,))]
+                        for row, x in zip(slots[j % SLOTS], values):
+                            row[c:c + len(block)] = x
+                    message = b""
+                except Exception as e:
+                    try:
+                        message = pickle.dumps(e)
+                        pickle.loads(message)  # the caller must be able to raise it
+                    except Exception:
+                        message = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
+                _write_all(done, struct.pack("<I", len(message)) + message)
+                if message:
+                    break
+    finally:
+        os._exit(0)  # no atexit handler, stdio flush or tracer dump of the caller's
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for t in tasks:
-            pending.append(pool.submit(work, t))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        part = os.read(fd, size - len(data))
+        if not part:
+            raise RuntimeError("an exponent helper exited before it reported its chunk")
+        data += part
+    return data
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def tree_sum(parts: Sequence[complex]) -> complex:
@@ -647,6 +757,9 @@ def make_test_function(spec: dict, coords_dim: int, horiz_dim: int) -> TestFunct
         if k.shape != (dim,):
             raise ValueError(f"{what} needs {dim} frequencies")
         k = tuple(int(x) for x in k)
+        if sum(map(abs, k)) >= 2 ** 52:  # the phase sum_l k_l x_l may reach 2^52
+            raise ValueError(f"{what} frequencies with sum |k_l| >= 2^52 leave the float64 "
+                             "phase no fractional bit")
 
         def fn(coords, horiz):
             x = horiz if horizontal else coords

@@ -23,7 +23,6 @@ length, at the first index that needs them, and the last few are cached.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -481,12 +480,12 @@ class AnchoredTaylor:
     2^p, the r_j of all 2^s anchors of that length (and of length 2^(p+1),
     in the same vectorized pass) are computed and kept (:meth:`_octave`);
     the one-point windows below 2^(s+1) form one such table.  Only the last
-    _CACHED_OCTAVES window lengths stay cached, behind a lock that no Horner
-    sum holds.  :meth:`evaluate` takes any int64 index array: its layout
-    (:func:`window_layout`, which the functions with the same s may share)
-    finds the runs of indices with the same anchor, gathers each run's
-    column of its octave's table and repeats it over the run.  Each r_j is
-    computed from
+    _CACHED_OCTAVES window lengths stay cached, without a lock: an evaluator
+    serves one thread at a time.  :meth:`evaluate` takes any int64 index
+    array: its layout (:func:`window_layout`, which the functions with the
+    same s may share) finds the runs of indices with the same anchor,
+    gathers each run's column of its octave's table and repeats it over the
+    run.  Each r_j is computed from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
     are shared across orders and built from the per-octave tables of k^a,
@@ -506,7 +505,6 @@ class AnchoredTaylor:
 
     def __init__(self, f: HardyExpr):
         self.f = f
-        self._lock = threading.Lock()
         self._tables = None  # the integer-built tables of k^a, 2^(r/q), 1/k and ln k
         self._cache = OrderedDict()  # p -> the windows of length 2^p, see _octave
         orders = [f]
@@ -591,30 +589,29 @@ class AnchoredTaylor:
         was asked for, the error bound.  Built at first use, for p >= 1
         together with p + 1 in one vectorized pass (the next length an
         ascending walk needs), and kept for the last _CACHED_OCTAVES lengths."""
-        with self._lock:
-            table = self._cache.get(p)
-            if table is None or (with_bound and len(table) == self.K + self.J + 2):
-                if self._tables is None:
-                    self._tables = (
-                        {a: _octaves(_pow_table, self.s, a) for a in self.powers},
-                        {a: _root2_table(a) for a in self.powers if a.denominator > 1},
-                        _octaves(_pow_table, self.s, Fraction(-1)),
-                        _octaves(_ln_table, self.s) if self.max_logpow else None)
-                k = np.arange(1 if p == 0 else 1 << self.s, 2 << self.s)
-                ps = [p] if p == 0 else [p, p + 1]
-                # anchors past the indices asked for may overflow; theirs may not
-                with np.errstate(over="ignore", invalid="ignore"):
-                    coeffs, bound = self._coefficients(np.tile(k, len(ps)),
-                                                       np.repeat(ps, len(k)), with_bound)
-                words = np.array([hj for hj, _ in coeffs] + [lj for _, lj in coeffs[:self.J + 1]]
-                                 + ([bound] if with_bound else []))
-                for i, q in enumerate(ps):
-                    self._cache[q] = words[:, i * len(k):(i + 1) * len(k)]
-                    self._cache.move_to_end(q)
-                while len(self._cache) > _CACHED_OCTAVES:
-                    self._cache.popitem(last=False)
-                table = self._cache[p]
-            self._cache.move_to_end(p)
+        table = self._cache.get(p)
+        if table is None or (with_bound and len(table) == self.K + self.J + 2):
+            if self._tables is None:
+                self._tables = (
+                    {a: _octaves(_pow_table, self.s, a) for a in self.powers},
+                    {a: _root2_table(a) for a in self.powers if a.denominator > 1},
+                    _octaves(_pow_table, self.s, Fraction(-1)),
+                    _octaves(_ln_table, self.s) if self.max_logpow else None)
+            k = np.arange(1 if p == 0 else 1 << self.s, 2 << self.s)
+            ps = [p] if p == 0 else [p, p + 1]
+            # anchors past the indices asked for may overflow; theirs may not
+            with np.errstate(over="ignore", invalid="ignore"):
+                coeffs, bound = self._coefficients(np.tile(k, len(ps)),
+                                                   np.repeat(ps, len(k)), with_bound)
+            words = np.array([hj for hj, _ in coeffs] + [lj for _, lj in coeffs[:self.J + 1]]
+                             + ([bound] if with_bound else []))
+            for i, q in enumerate(ps):
+                self._cache[q] = words[:, i * len(k):(i + 1) * len(k)]
+                self._cache.move_to_end(q)
+            while len(self._cache) > _CACHED_OCTAVES:
+                self._cache.popitem(last=False)
+            table = self._cache[p]
+        self._cache.move_to_end(p)
         return table
 
     def _coefficients(self, k, p, with_bound: bool = True):

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,20 +445,210 @@ class TestSampleDump:
             assert c == b + 1
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_slow_consumer_bounds_chunks_ahead(self, workers):
-        started, ahead = [], []
+    def test_slow_consumer_bounds_chunks_ahead(self, workers, monkeypatch):
+        """The helpers evaluate the exponents of at most SLOTS chunks ahead
+        of the caller, and fill that many slots while it waits; with one
+        worker the caller evaluates each chunk's exponents as it goes.  The
+        forked helpers inherit the patched ``exponents``, which writes one
+        byte to a pipe per call."""
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        inner = O.OrbitEngine.exponents
 
-        def reduce(ns, coords, horiz):
-            started.append(int(ns[0]))  # list.append is atomic
-            return int(ns[0])
+        def exponents(self, ns):
+            os.write(w, b"x")
+            return inner(self, ns)
 
-        walk = O.iter_sample_chunks(torus_cfg("phi"), 1, 8 * O.CHUNK, reduce, workers)
-        for i, a in enumerate(walk):
-            assert a == 1 + i * O.CHUNK
-            time.sleep(0.05)  # time for the workers to run ahead
-            ahead.append(len(started) - (i + 1))
-        assert len(started) == 8 and max(ahead) <= workers
+        monkeypatch.setattr(O.OrbitEngine, "exponents", exponents)
+        started, ahead = 0, []
+        walk = O.iter_sample_chunks(torus_cfg("phi"), 1, 8 * O.CHUNK,
+                                    lambda ns, coords, horiz: int(ns[0]), workers)
+        try:
+            for i, a in enumerate(walk):
+                assert a == 1 + i * O.CHUNK
+                time.sleep(0.05)  # time for the helpers to run ahead
+                with contextlib.suppress(BlockingIOError):
+                    started += len(os.read(r, 64))
+                ahead.append(started - (i + 1))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert started == 8
+        assert max(ahead) == (O.SLOTS if workers > 1 and hasattr(os, "fork") else 0)
 
     def test_range_checked_at_the_call(self):
         with pytest.raises(O.PrecisionCapError):
             O.iter_sample_chunks(torus_cfg("phi"), 1, O.DEFAULT_N_CAP + 1, lambda *c: c)
+
+
+def _children(pid: int | None = None) -> set[int]:
+    """The processes, zombies too, whose parent is pid (this process by default)."""
+    pid = os.getpid() if pid is None else pid
+    found = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            if int(stat.read_text().rpartition(")")[2].split()[1]) == pid:
+                found.add(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process (not gone, not a zombie)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+SRC = Path(O.__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def new_children():
+    """The children of this process made since the test began (zombies too)."""
+    before = _children()
+    return lambda: _children() - before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="the exponent helpers are forked; /proc lists them")
+class TestExponentHelpers:
+    """The forked helpers of iter_sample_chunks: none outlives its walk."""
+
+    SPAN = 8 * O.CHUNK
+
+    def walk(self, reduce, workers=3):
+        return O.iter_sample_chunks(torus_cfg("phi"), 1, self.SPAN, reduce, workers)
+
+    def test_full_walk(self, new_children):
+        seen = []
+
+        def reduce(ns, coords, horiz):
+            seen.append(new_children())
+            return coords.sum()
+
+        assert list(self.walk(reduce)) == list(self.walk(lambda ns, c, h: c.sum(), 1))
+        assert len(seen[0]) == 2 and all(s == seen[0] for s in seen)
+        assert new_children() == set()
+
+    def test_close_after_three_chunks(self, new_children):
+        walk = self.walk(lambda ns, coords, horiz: int(ns[0]))
+        assert [next(walk) for _ in range(3)] == [1, 1 + O.CHUNK, 1 + 2 * O.CHUNK]
+        assert len(new_children()) == 2
+        walk.close()
+        assert new_children() == set()
+
+    def test_reducer_raises(self, new_children):
+        def reduce(ns, coords, horiz):
+            if ns[0] > O.CHUNK:
+                raise ZeroDivisionError("in the reducer")
+            return int(ns[0])
+
+        with pytest.raises(ZeroDivisionError, match="in the reducer"):
+            list(self.walk(reduce))
+        assert new_children() == set()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_helper_exception_raised_at_its_chunk(self, new_children, workers, monkeypatch):
+        inner, inner_samples = O.OrbitEngine.exponents, O.OrbitEngine.samples
+
+        def exponents(self, ns):
+            if ns[0] > 2 * O.CHUNK:
+                raise O.PrecisionCapError(f"no exponents at {ns[0]}")
+            return inner(self, ns)
+
+        def samples(self, *args, **kwargs):  # a slow caller: the helper leaves first
+            time.sleep(0.05)
+            return inner_samples(self, *args, **kwargs)
+
+        monkeypatch.setattr(O.OrbitEngine, "exponents", exponents)  # before the fork
+        monkeypatch.setattr(O.OrbitEngine, "samples", samples)
+        got = []
+        with pytest.raises(O.PrecisionCapError, match=f"no exponents at {1 + 2 * O.CHUNK}$"):
+            for a in self.walk(lambda ns, coords, horiz: int(ns[0]), workers):
+                got.append(a)
+        assert got == [1, 1 + O.CHUNK]
+        assert new_children() == set()
+
+    def test_helper_exception_keeps_the_exit_code(self, new_children, tmp_path, monkeypatch,
+                                                  capsys):
+        inner = O.OrbitEngine.exponents
+
+        def exponents(self, ns):
+            if ns[0] > O.CHUNK:
+                raise O.PrecisionCapError("no exponents here")
+            return inner(self, ns)
+
+        monkeypatch.setattr(O.OrbitEngine, "exponents", exponents)
+        config = tmp_path / "torus.json"
+        config.write_text(cli.dump_config({"group": {"dim": 2}, "generators": [["phi"]],
+                                           "functions": ["t^{3/2}"]}))
+        runs = []
+        for workers in ("1", "2"):
+            rc = cli.main(["weyl", str(config), "--N", "1e5", "--m", "1", "--workers", workers,
+                           "--out", str(tmp_path / "w.csv")])
+            runs.append((rc, capsys.readouterr().err))
+        assert runs[0] == runs[1] == (cli.EXIT_PRECISION, "precision cap: no exponents here\n")
+        assert new_children() == set()
+
+    def test_more_helpers_than_cores_keep_every_chunk(self, new_children):
+        """Four helpers, more than the cores of a small machine, and a
+        consumer of uneven speed: every chunk's coordinates equal those of
+        one worker, so no slot is overwritten while the caller reads it."""
+        rng = random.Random(5)
+
+        def digest(ns, coords, horiz):
+            time.sleep(rng.random() * 0.004)
+            return hashlib.sha256(coords.tobytes()).hexdigest()
+
+        span = 40 * O.CHUNK
+        start = time.monotonic()
+        got = list(O.iter_sample_chunks(PAIR_CFG, 1, span, digest, 5))
+        assert got == list(O.iter_sample_chunks(PAIR_CFG, 1, span, digest, 1))
+        assert time.monotonic() - start < 120
+        assert new_children() == set()
+
+    def _script(self, body: str) -> subprocess.Popen:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        prelude = ("import os, sys, time\nfrom nilorbit import hardy, orbits as O\n"
+                   "cfg = O.OrbitConfig(dim=2, blocks=(2,), generators=((O.as_entry('phi'),),),"
+                   " functions=(hardy.parse('t'),), base_point=(O.as_entry(0),))\n")
+        return subprocess.Popen([sys.executable, "-c", prelude + body], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def test_helpers_leave_by_os_exit(self):
+        """A helper runs no atexit handler and flushes no stdio buffer of the caller's."""
+        proc = self._script(
+            "import atexit\n"
+            "print('before')\n"  # buffered: stdout is a pipe
+            "atexit.register(print, 'at exit')\n"
+            f"print(sum(O.iter_sample_chunks(cfg, 1, {self.SPAN}, lambda ns, c, h: len(ns), 3)))\n")
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out, err) == (0, f"before\n{self.SPAN}\nat exit\n", "")
+
+    def test_parent_killed_mid_walk(self):
+        """Helpers of a caller killed by SIGKILL exit on their own (EOF on
+        their credit pipe, or EPIPE on their done pipe)."""
+        proc = self._script(
+            "def reduce(ns, c, h):\n"
+            "    if ns[0] > O.CHUNK:\n"
+            "        print('walking', flush=True)\n"
+            "        time.sleep(120)\n"
+            f"for _ in O.iter_sample_chunks(cfg, 1, {self.SPAN}, reduce, 3):\n"
+            "    pass\n")
+        try:
+            assert proc.stdout.readline() == "walking\n"
+            helpers = _children(proc.pid)
+            assert len(helpers) == 2 and all(map(_running, helpers))
+        finally:
+            proc.kill()
+            proc.communicate(timeout=60)
+        deadline = time.monotonic() + 30
+        while any(map(_running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, helpers))

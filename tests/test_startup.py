@@ -2,8 +2,8 @@
 
 Each experiment is one CLI process, so modules imported at start-up are paid
 for on every run.  jsonschema is not used by the package, mpmath only where
-a floor must be decided exactly (``hardy.floor_at``), and the thread pool
-only by runs with several workers.
+a floor must be decided exactly (``hardy.floor_at``), and concurrent.futures
+not at all: several workers fork exponent helpers (``orbits._with_helpers``).
 """
 
 from __future__ import annotations
