@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -431,11 +432,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def default_workers() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nilorbit",
         description="Growth calculus and equidistribution diagnostics on nilmanifolds")
     sub = p.add_subparsers(dest="command", required=True)
+    workers = default_workers()
 
     c = sub.add_parser("classify", help="run the (P1)/(P2) checkers on expressions")
     c.add_argument("expr", nargs="+")
@@ -462,7 +472,10 @@ def make_parser() -> argparse.ArgumentParser:
         if "grid" in extra and name == "average":
             s.add_argument("--grid", default=None, help="N grid, e.g. '1e3:1e6:decade'")
         if "workers" in extra:
-            s.add_argument("--workers", type=_positive_int, default=1)
+            s.add_argument("--workers", type=_positive_int, default=workers, metavar="W",
+                           help=f"processes: the caller and W - 1 (at most {orbits.MAX_HELPERS}) "
+                                "forked exponent helpers; 1 runs serially (default: the CPUs "
+                                f"this process may run on, {workers} here)")
         if "m" in extra:
             s.add_argument("--m", default=None, help="frequency vector '1,0,0,1'")
         if "Mmax" in extra:

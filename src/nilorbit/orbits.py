@@ -81,7 +81,7 @@ from .hardy import (
 from .windows import TAYLOR_END, AnchoredTaylor, WindowPlan, taylor_window, window_layout
 
 CHUNK = BLOCK  # samples per chunk of the walk: one engine block
-SLOTS = 4  # chunks whose exponents the forked helpers may hold ahead of the caller
+MAX_HELPERS = 4  # forked exponent helpers of one walk, whatever the worker count
 DEFAULT_N_CAP = 10 ** 7
 
 
@@ -527,14 +527,14 @@ def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, reduce: Callable, wor
     hands to its reducer are as small as the engine's temporaries.  The
     range is checked at the call.  Every chunk's samples and its reduction
     run in the calling process.  With ``workers`` > 1, where ``os.fork``
-    exists, up to ``workers`` - 1 forked helpers (at most SLOTS) evaluate
-    the exponents of the chunks ahead (:func:`_with_helpers`); an exponent
-    depends on n alone, so every worker count yields the same values.
+    exists, up to ``workers`` - 1 forked helpers (at most MAX_HELPERS)
+    evaluate the exponents of the chunks ahead (:func:`_with_helpers`); an
+    exponent depends on n alone, so every worker count yields the same values.
     """
     engine = OrbitEngine(cfg)
     engine.check_range(n1)
     spans = [(a, min(a + CHUNK - 1, n1)) for a in range(n0, n1 + 1, CHUNK)]
-    helpers = min(workers - 1, SLOTS, len(spans) - 1)
+    helpers = min(workers - 1, MAX_HELPERS, len(spans) - 1)
     if helpers < 1 or not hasattr(os, "fork"):
         return (reduce(*engine.samples(a, b)) for a, b in spans)
     return _with_helpers(engine, spans, reduce, helpers)
@@ -545,56 +545,67 @@ def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: i
     order, the exponents computed by forked helper processes.
 
     Chunk j goes to helper j mod ``helpers``, which writes its exponents into
-    slot j mod SLOTS of a shared anonymous ``mmap`` made before the fork.  A
-    helper starts a chunk on a credit byte from the caller and reports it
-    done with a 4-byte length: 0, or the length of its pickled exception,
-    which the caller raises at that chunk.  The caller credits chunk
-    j + SLOTS once chunk j's samples are computed, so the helpers run at
-    most SLOTS chunks ahead.  A helper leaves only by ``os._exit``, when its
-    chunks are done, on EOF or a broken pipe (the caller is gone), or at
-    SIGTERM; the caller terminates and reaps every helper when the walk
-    ends, is closed or raises.
+    slot j mod (``helpers`` + 1) of a shared anonymous ``mmap`` ring made
+    before the fork: one slot per helper and one for the chunk the caller
+    reads.  A helper starts a chunk on a credit byte from the caller and
+    reports it done with a 4-byte length: 0, or the length of its pickled
+    exception, which the caller raises at that chunk.  The caller credits
+    chunk j + ``helpers`` + 1 once chunk j's samples are computed, so the
+    helpers run at most the ring's depth ahead.  Where a pipe or a fork
+    fails (EAGAIN under a process limit, EMFILE), no further helper is
+    forked, and the caller evaluates the exponents of the chunks of the
+    helpers it lacks itself, so the output stays the same.  A helper leaves
+    only by ``os._exit``, when its chunks are done, on EOF or a broken pipe
+    (the caller is gone), or at SIGTERM; the caller terminates and reaps
+    every helper when the walk ends, is closed or raises.
     """
     import mmap
     import signal
 
     width = 2 if engine.K is DD else 1  # arrays per exponent
     rows = width * len(engine.cfg.functions)
-    ring = mmap.mmap(-1, SLOTS * rows * CHUNK * 8)
-    slots = np.frombuffer(ring, dtype=np.float64).reshape(SLOTS, rows, CHUNK)
-    procs = []  # (pid, credit pipe, done pipe) per helper
+    depth = helpers + 1
+    ring = mmap.mmap(-1, depth * rows * CHUNK * 8)
+    slots = np.frombuffer(ring, dtype=np.float64).reshape(depth, rows, CHUNK)
+    procs = []  # (pid, credit pipe, done pipe) per helper forked
 
     def credit(j: int) -> None:  # a helper that has left says why on its done pipe
-        with contextlib.suppress(BrokenPipeError):
-            os.write(procs[j % helpers][1], b"\0")
+        if j % helpers < len(procs):
+            with contextlib.suppress(BrokenPipeError):
+                os.write(procs[j % helpers][1], b"\0")
 
     try:
         for h in range(helpers):
-            credit_r, credit_w = os.pipe()
-            done_r, done_w = os.pipe()
+            pipes = []
             try:
+                pipes += os.pipe()
+                pipes += os.pipe()
                 pid = os.fork()
             except OSError:
-                for fd in (credit_r, credit_w, done_r, done_w):
+                for fd in pipes:
                     os.close(fd)
-                raise
+                break
+            credit_r, credit_w, done_r, done_w = pipes
             if pid == 0:
                 _helper(engine, list(enumerate(spans))[h::helpers], slots, credit_r, done_w,
                         [credit_w, done_r, *(fd for _, *fds in procs for fd in fds)])
             os.close(credit_r)
             os.close(done_w)
             procs.append((pid, credit_w, done_r))
-        for j in range(min(SLOTS, len(spans))):
+        for j in range(min(depth, len(spans))):
             credit(j)
         for j, (a, b) in enumerate(spans):
-            size = struct.unpack("<I", _read_exactly(procs[j % helpers][2], 4))[0]
-            if size:
-                raise pickle.loads(_read_exactly(procs[j % helpers][2], size))
-            got = slots[j % SLOTS, :, :b - a + 1]
-            expo = [tuple(got[i:i + 2]) for i in range(0, rows, 2)] if width == 2 else list(got)
+            expo = None  # evaluated by the caller, where the chunk's helper was not forked
+            if j % helpers < len(procs):
+                done = procs[j % helpers][2]
+                size = struct.unpack("<I", _read_exactly(done, 4))[0]
+                if size:
+                    raise pickle.loads(_read_exactly(done, size))
+                got = slots[j % depth, :, :b - a + 1]
+                expo = [tuple(got[i:i + 2]) for i in range(0, rows, 2)] if width == 2 else list(got)
             ns, coords, horiz = engine.samples(a, b, exponents=expo)
-            if j + SLOTS < len(spans):
-                credit(j + SLOTS)
+            if j + depth < len(spans):
+                credit(j + depth)
             yield reduce(ns, coords, horiz)
     finally:
         for pid, *fds in procs:
@@ -623,7 +634,7 @@ def _helper(engine: OrbitEngine, chunks: list, slots: np.ndarray, credits: int, 
                         block = ns[c:c + BLOCK]
                         values = [x for e in engine.exponents(block)
                                   for x in (e if isinstance(e, tuple) else (e,))]
-                        for row, x in zip(slots[j % SLOTS], values):
+                        for row, x in zip(slots[j % len(slots)], values):
                             row[c:c + len(block)] = x
                     message = b""
                 except Exception as e:
@@ -837,15 +848,16 @@ def _box_volumes(g: int, dim: int) -> np.ndarray:
 def discrepancy_from_histogram(hist: np.ndarray, total: int) -> float:
     """Max over anchored grid boxes of |empirical mass - Lebesgue volume|.
 
-    The box counts are cumulative sums along each axis, taken in place on one
-    int64 copy of hist by slice adds.  The maximum is taken one slab of
+    The box counts are cumulative sums along each axis, taken in place by
+    slice adds on one copy of hist in its integer dtype (int32 at the least),
+    which must hold ``total``.  The maximum is taken one slab of
     g^(dim-1) boxes at a time, the slab's volumes the outer product of the
     cached (dim-1)-dimensional volumes with the last axis, so no float array
     of the grid's size is made.
     """
     if total <= 0:
         raise PreconditionError("empty sample set")
-    c = hist.astype(np.int64)
+    c = hist.astype(np.result_type(hist.dtype, np.int32))
     g, dim = hist.shape[0], hist.ndim
     for ax in range(dim):
         view = c.reshape(g ** ax, g, -1)
@@ -878,8 +890,9 @@ def box_discrepancy(samples: np.ndarray | Iterable[np.ndarray], grid_res: int) -
     return discrepancy_from_histogram(hist, total)  # which refuses an empty sample set
 
 
-# cells of a discrepancy histogram: 32 MiB of int64 counts, and
-# discrepancy_from_histogram makes one more array of that size
+# cells of a discrepancy histogram: 16 MiB of int32 counts (32 MiB of int64
+# from N = 2^31 on), and discrepancy_from_histogram makes one more array of
+# that size
 MAX_CELLS = 1 << 22
 
 
@@ -898,8 +911,9 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
 
     The chunks up to max(grid) are streamed once; the cell counts are
     snapshotted at each N (splitting the chunk that holds it), so each value
-    equals a separate pass to N exactly.  ``grid_res`` defaults to
-    :func:`default_grid_res`; a grid of more than MAX_CELLS cells is refused.
+    equals a separate pass to N exactly; they are int32 below N = 2^31 and
+    int64 from there on.  ``grid_res`` defaults to :func:`default_grid_res`;
+    a grid of more than MAX_CELLS cells is refused.
     """
     if grid_res is None:
         grid_res = default_grid_res(cfg.coords_dim)
@@ -913,7 +927,9 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
     targets = sorted(set(grid))
     if not targets or targets[0] < 1:
         raise PreconditionError("discrepancy needs N >= 1")
-    hist = np.zeros((grid_res,) * cfg.coords_dim, dtype=np.int64)
+    hist = np.zeros((grid_res,) * cfg.coords_dim,
+                    dtype=np.int32 if targets[-1] < 2 ** 31 else np.int64)
+    one = hist.dtype.type(1)  # a Python 1 would make np.add.at cast on every call
 
     def reduce(ns, coords, horiz):  # the samples' cells, split after each N held
         cuts = [N - int(ns[0]) + 1 for N in targets if ns[0] <= N <= ns[-1]]
@@ -922,7 +938,7 @@ def discrepancy_series(cfg: OrbitConfig, grid: Sequence[int], grid_res: Optional
     found: list[float] = []  # at each of the targets
     for pieces in iter_sample_chunks(cfg, 1, targets[-1], reduce, workers):
         for i, cells in enumerate(pieces):
-            np.add.at(hist.reshape(-1), cells, 1)
+            np.add.at(hist.reshape(-1), cells, one)
             if i < len(pieces) - 1:
                 found.append(discrepancy_from_histogram(hist, targets[len(found)]))
     return [found[targets.index(N)] for N in grid]

@@ -135,9 +135,9 @@ class TestDrivers:
             engines.append(cfg)
             init(self, cfg)
 
-        def counting_samples(self, n0, n1):
+        def counting_samples(self, n0, n1, *args, **kwargs):  # exponents= from the helpers
             samples.append(n1 - n0 + 1)
-            return inner(self, n0, n1)
+            return inner(self, n0, n1, *args, **kwargs)
 
         monkeypatch.setattr(O.OrbitEngine, "__init__", counting_init)
         monkeypatch.setattr(O.OrbitEngine, "samples", counting_samples)
@@ -253,6 +253,46 @@ class TestDeterminism:
             assert cli.main([argv[0], str(INSTANCES / argv[1]), *argv[2:],
                              "--workers", workers, "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("command", ["orbit", "weyl", "discrepancy", "average"])
+    def test_default_workers_is_the_affinity_size(self, command):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        assert cli.make_parser().parse_args([command, "c.json"]).workers == cpus
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"),
+                        reason="the default reads the affinity mask; helpers are forked")
+    @pytest.mark.parametrize("cpus,forked", [({0}, 0), ({0, 1}, 1)], ids=["one_cpu", "two_cpus"])
+    def test_default_workers_follow_the_affinity_mask(self, cpus, forked, tmp_path, monkeypatch):
+        fork, pids = os.fork, []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert cli.main(["discrepancy", str(INSTANCES / "heisenberg_pair.json"), "--N", "1e5",
+                         "--grid", "4", "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(pids) == forked
+
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--grid", "8"],
+        ["average"],
+        ["weyl", "--m", "1,-2,3,1"],
+        ["orbit", "--N", "2e4"],
+    ], ids=["discrepancy", "average", "weyl", "orbit"])
+    def test_default_workers_byte_identical(self, argv, tmp_path):
+        """heisenberg_pair at its own N grid: the default worker count writes
+        the bytes of a serial run."""
+        outs = []
+        for workers in ([], ["--workers", "1"]):
+            outs.append(tmp_path / f"w{len(workers)}.csv")
+            assert cli.main([argv[0], str(INSTANCES / "heisenberg_pair.json"), *argv[1:],
+                             *workers, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("doc,workers", [
         (json.loads((INSTANCES / "heisenberg_pair.json").read_text()), "1"),

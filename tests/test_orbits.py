@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import math
 import os
@@ -446,8 +447,9 @@ class TestSampleDump:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_slow_consumer_bounds_chunks_ahead(self, workers, monkeypatch):
-        """The helpers evaluate the exponents of at most SLOTS chunks ahead
-        of the caller, and fill that many slots while it waits; with one
+        """The helpers evaluate the exponents of at most ``workers`` chunks
+        ahead of the caller, the depth of the ring (a slot per helper and
+        one for the caller), and fill it while the caller waits; with one
         worker the caller evaluates each chunk's exponents as it goes.  The
         forked helpers inherit the patched ``exponents``, which writes one
         byte to a pipe per call."""
@@ -474,7 +476,7 @@ class TestSampleDump:
             os.close(r)
             os.close(w)
         assert started == 8
-        assert max(ahead) == (O.SLOTS if workers > 1 and hasattr(os, "fork") else 0)
+        assert max(ahead) == (workers if workers > 1 and hasattr(os, "fork") else 0)
 
     def test_range_checked_at_the_call(self):
         with pytest.raises(O.PrecisionCapError):
@@ -590,6 +592,35 @@ class TestExponentHelpers:
             runs.append((rc, capsys.readouterr().err))
         assert runs[0] == runs[1] == (cli.EXIT_PRECISION, "precision cap: no exponents here\n")
         assert new_children() == set()
+
+    @pytest.mark.parametrize("call,fails_at", [("fork", 0), ("fork", 1), ("pipe", 3)],
+                             ids=["first_fork", "second_fork", "second_helper_pipe"])
+    def test_failed_fork_falls_back_to_the_caller(self, new_children, call, fails_at, tmp_path,
+                                                  monkeypatch):
+        """A pipe or fork that fails (EAGAIN under a process limit, EMFILE)
+        forks no further helper: the caller evaluates the exponents of the
+        chunks of the helpers it lacks, so the output is that of one worker,
+        with no helper and with one; no pipe end is left open."""
+        inner, calls = getattr(os, call), []
+
+        def failing(*args):
+            calls.append(call)
+            if len(calls) - 1 == fails_at:
+                raise OSError(errno.EAGAIN if call == "fork" else errno.EMFILE, "refused")
+            return inner(*args)
+
+        config = str(Path(__file__).resolve().parent.parent / "instances" / "heisenberg_pair.json")
+        outs, fds = [], len(os.listdir("/proc/self/fd"))
+        for workers in ("1", "3"):
+            if workers == "3":
+                monkeypatch.setattr(os, call, failing)
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert cli.main(["discrepancy", config, "--N", "1e4,7e4,2e5", "--grid", "4",
+                             "--workers", workers, "--out", str(outs[-1])]) == 0
+        assert len(calls) == fails_at + 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert new_children() == set()
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_more_helpers_than_cores_keep_every_chunk(self, new_children):
         """Four helpers, more than the cores of a small machine, and a
