@@ -132,8 +132,10 @@ def _schema_error(x, schema: dict, path: str = "$"):
 
 
 def parse_grid(spec) -> tuple[int, ...]:
-    """Grid forms: integer list, comma list ('1e3,1e4'), or 'a:b:decade'."""
+    """Grid forms: integer list, comma list ('1e3,1e4'), or 'a:b:decade'; never empty."""
     if isinstance(spec, (list, tuple)):
+        if not spec:
+            raise ConfigError("empty N grid")
         return tuple(int(x) for x in spec)
     text = str(spec)
 

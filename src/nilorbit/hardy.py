@@ -868,8 +868,13 @@ def int_root(m: int, q: int) -> int:
         return m
     if q == 2:
         return math.isqrt(m)
-    # integer Newton from above: the iterates decrease to the floor of the root
-    r = 1 << -(-m.bit_length() // q)
+    # integer Newton from above, started at a float estimate of the root raised
+    # until r^q >= m: the iterates decrease to the floor of the root
+    x = math.log2(m) / q  # math.log2 takes integers of any size
+    k = max(int(x) - 52, 0)
+    r = int(2.0 ** (x - k)) << k
+    while r ** q < m:
+        r += (r >> 32) + 1
     while True:
         nxt = ((q - 1) * r + m // r ** (q - 1)) // q
         if nxt >= r:

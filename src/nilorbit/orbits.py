@@ -56,8 +56,6 @@ import enum
 import math
 import operator
 import os
-import pickle
-import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -528,8 +526,10 @@ def iter_sample_chunks(cfg: OrbitConfig, n0: int, n1: int, reduce: Callable, wor
     range is checked at the call.  Every chunk's samples and its reduction
     run in the calling process.  With ``workers`` > 1, where ``os.fork``
     exists, up to ``workers`` - 1 forked helpers (at most MAX_HELPERS)
-    evaluate the exponents of the chunks ahead (:func:`_with_helpers`); an
-    exponent depends on n alone, so every worker count yields the same values.
+    evaluate the exponents of the chunks ahead (:func:`_with_helpers`), and
+    the caller evaluates those of every chunk no helper delivers; an
+    exponent depends on n alone, so every worker count yields the same
+    values, and an exponent that raises does so in the caller, at its chunk.
     """
     engine = OrbitEngine(cfg)
     engine.check_range(n1)
@@ -548,16 +548,17 @@ def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: i
     slot j mod (``helpers`` + 1) of a shared anonymous ``mmap`` ring made
     before the fork: one slot per helper and one for the chunk the caller
     reads.  A helper starts a chunk on a credit byte from the caller and
-    reports it done with a 4-byte length: 0, or the length of its pickled
-    exception, which the caller raises at that chunk.  The caller credits
-    chunk j + ``helpers`` + 1 once chunk j's samples are computed, so the
-    helpers run at most the ring's depth ahead.  Where a pipe or a fork
-    fails (EAGAIN under a process limit, EMFILE), no further helper is
-    forked, and the caller evaluates the exponents of the chunks of the
-    helpers it lacks itself, so the output stays the same.  A helper leaves
-    only by ``os._exit``, when its chunks are done, on EOF or a broken pipe
-    (the caller is gone), or at SIGTERM; the caller terminates and reaps
-    every helper when the walk ends, is closed or raises.
+    reports it done with one byte.  The caller credits chunk j + ``helpers``
+    + 1 once chunk j's samples are computed, so the helpers run at most the
+    ring's depth ahead.  One rule covers every failure: a helper stops
+    delivering when its pipe or fork was refused (EAGAIN under a process
+    limit, EMFILE; no further helper is then forked), when it raised or
+    when it died (EOF on its done pipe), and from then on the caller
+    evaluates the exponents of that helper's chunks itself, and sends it no
+    credit.  So the output stays the same, and what those exponents raise
+    is raised in the caller.  A helper leaves only by ``os._exit``; the
+    caller terminates and reaps every helper when the walk ends, is closed
+    or raises.
     """
     import mmap
     import signal
@@ -569,9 +570,9 @@ def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: i
     slots = np.frombuffer(ring, dtype=np.float64).reshape(depth, rows, CHUNK)
     procs = []  # (pid, credit pipe, done pipe) per helper forked
 
-    def credit(j: int) -> None:  # a helper that has left says why on its done pipe
-        if j % helpers < len(procs):
-            with contextlib.suppress(BrokenPipeError):
+    def credit(j: int) -> None:
+        if j % helpers not in stopped:
+            with contextlib.suppress(BrokenPipeError):  # it died: its done pipe says so
                 os.write(procs[j % helpers][1], b"\0")
 
     try:
@@ -592,17 +593,17 @@ def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: i
             os.close(credit_r)
             os.close(done_w)
             procs.append((pid, credit_w, done_r))
+        stopped = set(range(len(procs), helpers))  # helpers that deliver no further chunk
         for j in range(min(depth, len(spans))):
             credit(j)
         for j, (a, b) in enumerate(spans):
-            expo = None  # evaluated by the caller, where the chunk's helper was not forked
-            if j % helpers < len(procs):
-                done = procs[j % helpers][2]
-                size = struct.unpack("<I", _read_exactly(done, 4))[0]
-                if size:
-                    raise pickle.loads(_read_exactly(done, size))
-                got = slots[j % depth, :, :b - a + 1]
-                expo = [tuple(got[i:i + 2]) for i in range(0, rows, 2)] if width == 2 else list(got)
+            expo = None  # evaluated by the caller, where the chunk's helper stopped delivering
+            if j % helpers not in stopped:
+                if os.read(procs[j % helpers][2], 1):
+                    got = slots[j % depth, :, :b - a + 1]
+                    expo = [tuple(got[i:i + 2]) for i in range(0, rows, 2)] if width == 2 else list(got)
+                else:
+                    stopped.add(j % helpers)
             ns, coords, horiz = engine.samples(a, b, exponents=expo)
             if j + depth < len(spans):
                 credit(j + depth)
@@ -620,7 +621,10 @@ def _with_helpers(engine: OrbitEngine, spans: list, reduce: Callable, helpers: i
 def _helper(engine: OrbitEngine, chunks: list, slots: np.ndarray, credits: int, done: int,
             inherited: list) -> None:
     """Body of a forked exponent helper (:func:`_with_helpers`), which closes
-    the caller's pipe ends ``inherited``; it never returns."""
+    the caller's pipe ends ``inherited``; it never returns.  It leaves when
+    its chunks are done, on EOF or a broken pipe (the caller is gone), at
+    SIGTERM, or at the first exception, which the caller then meets itself
+    when it evaluates that chunk."""
     try:
         for fd in inherited:
             os.close(fd)
@@ -628,42 +632,13 @@ def _helper(engine: OrbitEngine, chunks: list, slots: np.ndarray, credits: int, 
             for j, (a, b) in chunks:
                 if not os.read(credits, 1):
                     break  # the caller closed the walk or is gone
-                try:
-                    ns = np.arange(a, b + 1, dtype=np.int64)
-                    for c in range(0, len(ns), BLOCK):  # as OrbitEngine.samples
-                        block = ns[c:c + BLOCK]
-                        values = [x for e in engine.exponents(block)
-                                  for x in (e if isinstance(e, tuple) else (e,))]
-                        for row, x in zip(slots[j % len(slots)], values):
-                            row[c:c + len(block)] = x
-                    message = b""
-                except Exception as e:
-                    try:
-                        message = pickle.dumps(e)
-                        pickle.loads(message)  # the caller must be able to raise it
-                    except Exception:
-                        message = pickle.dumps(RuntimeError(f"{type(e).__name__}: {e}"))
-                _write_all(done, struct.pack("<I", len(message)) + message)
-                if message:
-                    break
+                values = [x for e in engine.exponents(np.arange(a, b + 1, dtype=np.int64))
+                          for x in (e if isinstance(e, tuple) else (e,))]
+                for row, x in zip(slots[j % len(slots)], values):
+                    row[:b - a + 1] = x
+                os.write(done, b"\0")
     finally:
         os._exit(0)  # no atexit handler, stdio flush or tracer dump of the caller's
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        part = os.read(fd, size - len(data))
-        if not part:
-            raise RuntimeError("an exponent helper exited before it reported its chunk")
-        data += part
-    return data
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 def tree_sum(parts: Sequence[complex]) -> complex:

@@ -338,6 +338,8 @@ BAD_INPUTS = {
     "average --grid 1e3:inf:decade": ({}, ["average", "--grid", "1e3:inf:decade"]),
     "N_grid 1e3:inf:decade": ({"N_grid": "1e3:inf:decade"}, ["average"]),
     "N_grid abc": ({"N_grid": "abc"}, ["discrepancy"]),
+    **{f"{c} N_grid []": ({"N_grid": []}, [c])
+       for c in ("orbit", "weyl", "discrepancy", "obstruction", "average")},
     **{f"window gamma {k}": ({"window": {"gamma": v}}, ["obstruction", "--N", "1e3"])
        for k, v in BAD_ENTRIES.items() if k != "1e999"},  # "1e999" parses as a rational gamma
     # a bump on a repeated coordinate has no 2^-m integral

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp
 
 from nilorbit import hardy as H
+from nilorbit.constants import REGISTRY
 from nilorbit.hardy import HardyExpr, HardyTerm
 
 from conftest import hardy_exprs, hardy_terms
@@ -328,3 +330,31 @@ class TestEvaluation:
         f = P("t^{3/2} + 1/2")
         v = H.evaluate_dd(f, n)
         assert H.floor_at(f, n) == math.floor(v)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_every_registered_constant_evaluates_in_mpmath(self, name):
+        """evaluate_mp, which floor_at uses, knows every registry constant."""
+        with mp.workprec(200):
+            want = mp.mpf(REGISTRY[name].decimal)
+            assert abs(H.evaluate_mp(P(name), 1, 200) - want) <= 1e-49 * want
+
+
+class TestIntRoot:
+    @staticmethod
+    def check(m, q):
+        r = H.int_root(m, q)
+        assert r ** q <= m < (r + 1) ** q
+
+    @given(st.integers(0, 2 ** 4000), st.integers(3, 1000))
+    def test_random(self, m, q):
+        self.check(m, q)
+
+    @given(st.integers(0, 2 ** 53 - 1), st.integers(3, 1000))
+    def test_below_2_53(self, m, q):
+        self.check(m, q)
+
+    @given(st.data(), st.integers(3, 1000))
+    def test_perfect_powers(self, data, q):
+        b = data.draw(st.integers(1, 2 ** max(1, 4000 // q)))
+        for m in (b ** q - 1, b ** q, b ** q + 1):
+            self.check(m, q)

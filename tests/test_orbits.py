@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -621,6 +622,62 @@ class TestExponentHelpers:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert new_children() == set()
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    @staticmethod
+    def digest(ns, coords, horiz):
+        return hashlib.sha256(coords.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_killed_helpers_fall_back_to_the_caller(self, new_children, workers):
+        """Helpers killed mid-walk (SIGKILL, as by the OOM killer) cost the
+        recomputation of their chunks in the caller, not the walk."""
+        def reduce(ns, coords, horiz):
+            if ns[0] == 1 + 3 * O.CHUNK:
+                for pid in new_children():
+                    os.kill(pid, signal.SIGKILL)
+            return self.digest(ns, coords, horiz)
+
+        span = 10 * O.CHUNK
+        got = list(O.iter_sample_chunks(PAIR_CFG, 1, span, reduce, workers))
+        assert got == list(O.iter_sample_chunks(PAIR_CFG, 1, span, self.digest, 1))
+        assert new_children() == set()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_exception_only_in_helpers_falls_back_to_the_caller(self, new_children, workers,
+                                                               monkeypatch):
+        """Exponents that raise only in a helper are evaluated by the caller."""
+        caller, inner = os.getpid(), O.OrbitEngine.exponents
+
+        def exponents(self, ns):
+            if os.getpid() != caller:
+                raise O.PrecisionCapError("only in a helper")
+            return inner(self, ns)
+
+        span = 10 * O.CHUNK
+        serial = list(O.iter_sample_chunks(PAIR_CFG, 1, span, self.digest, 1))
+        monkeypatch.setattr(O.OrbitEngine, "exponents", exponents)  # before the fork
+        assert list(O.iter_sample_chunks(PAIR_CFG, 1, span, self.digest, workers)) == serial
+        assert new_children() == set()
+
+    def test_caller_evaluates_no_exponents_of_working_helpers(self, new_children, monkeypatch):
+        """On a walk whose helpers all deliver, every chunk's exponents are
+        evaluated once, each in a helper: the fallback hides no helper."""
+        inner, (r, w) = O.OrbitEngine.exponents, os.pipe()
+
+        def exponents(self, ns):
+            os.write(w, f"{os.getpid()} {ns[0]}\n".encode())
+            return inner(self, ns)
+
+        monkeypatch.setattr(O.OrbitEngine, "exponents", exponents)  # before the fork
+        with os.fdopen(r) as calls:
+            try:
+                list(self.walk(self.digest))
+            finally:
+                os.close(w)
+            pids, starts = zip(*(map(int, line.split()) for line in calls))
+        assert sorted(starts) == list(range(1, self.SPAN + 1, O.CHUNK))
+        assert os.getpid() not in pids and len(set(pids)) == 2
+        assert new_children() == set()
 
     def test_more_helpers_than_cores_keep_every_chunk(self, new_children):
         """Four helpers, more than the cores of a small machine, and a
