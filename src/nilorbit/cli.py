@@ -378,12 +378,14 @@ def cmd_weyl(args) -> int:
     characters = _characters(args, doc, cfg)
     grid = _grid(args, doc)
     ends = sorted(set(grid))
+    # one pass over the orbit for every character and the whole grid; the
+    # same bits as weyl_sum at each N
+    series = orbits.chunked_means(
+        cfg, [lambda ns, coords, horiz, chi=chi: chi(coords, horiz) for _, chi in characters],
+        1, ends, args.workers)
     rows = []
-    for m, chi in characters:
+    for (m, _), sums in zip(characters, series):
         label = "k" + "_".join(str(x) for x in m)
-        # one pass over the orbit for the whole grid; the same bits as weyl_sum at each N
-        sums = orbits.chunked_mean(cfg, lambda ns, coords, horiz: chi(coords, horiz), 1, ends,
-                                   args.workers)
         for N in grid:
             s = sums[ends.index(N)]
             rows.append([N, f"weyl_re_{label}", s.real])

@@ -313,6 +313,17 @@ def _ratios_to_dd(ratios) -> tuple[np.ndarray, np.ndarray]:
     return np.array(hi), np.array(lo)
 
 
+def _dyadic_to_dd(numerators: list, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios P/2^t of :func:`_ratios_to_dd`, with the same bits and
+    without a big division: hi is the float of P and lo that of its rest
+    P - hi, each correctly rounded (int-to-float conversion rounds so), both
+    scaled by 2^-t, which is exact while they stay normal floats (every P
+    here is 0 or at least 1, and t <= 160)."""
+    hi = [float(P) for P in numerators]
+    lo = [float(P - int(h)) for P, h in zip(numerators, hi)]
+    return np.ldexp(hi, -t), np.ldexp(lo, -t)
+
+
 def _rational_power(x: int, a: Fraction) -> tuple[int, int]:
     """x^a for an integer x >= 1 as a ratio P/Q: exact for integer a, else from
     the floor of x^|a| 2^_TABLE_BITS (relative error < 2^-_TABLE_BITS)."""
@@ -349,12 +360,28 @@ def _ln_table(s: int):
     for k in range(2 ** s, 2 ** (s + 1)):
         ln_k.append(x)
         x += 2 * _atanh_inv(2 * k + 1, one)
-    return _ratios_to_dd((v, one) for v in ln_k)
+    return _dyadic_to_dd(ln_k, _TABLE_BITS + 40)
 
 
 @lru_cache(maxsize=None)
 def _pow_table(s: int, a: Fraction):
-    """k^a for k in [2^s, 2^(s+1))."""
+    """k^a for k in [2^s, 2^(s+1)), with the bits of the ratios of
+    :func:`_rational_power`.  Two cases run in float arithmetic: for a = -1,
+    hi = 1/k and lo = (1 - k hi)/k, whose numerator (1 - p) - e over the
+    TwoProd (p, e) of k hi is exact; for an integer a >= 0 with every k^a
+    below 2^53, the exact floats and lo = 0.  For a positive non-integer a
+    the ratios are dyadic (:func:`_dyadic_to_dd`)."""
+    if a == -1:
+        k = np.arange(2 ** s, 2 ** (s + 1), dtype=np.float64)
+        hi = 1 / k
+        p, e = two_prod(k, hi)
+        return hi, ((1 - p) - e) / k
+    if a.denominator == 1 and 0 <= a * (s + 1) <= 53:
+        k = np.arange(2 ** s, 2 ** (s + 1), dtype=np.int64)
+        return (k ** int(a)).astype(np.float64), np.zeros(len(k))
+    if a > 0 and a.denominator > 1:  # ratios P / 2^_TABLE_BITS
+        return _dyadic_to_dd([_rational_power(k, a)[0] for k in range(2 ** s, 2 ** (s + 1))],
+                             _TABLE_BITS)
     return _ratios_to_dd(_rational_power(k, a) for k in range(2 ** s, 2 ** (s + 1)))
 
 
@@ -479,13 +506,14 @@ class AnchoredTaylor:
     The windows are built once per octave: at the first n with window length
     2^p, the r_j of all 2^s anchors of that length (and of length 2^(p+1),
     in the same vectorized pass) are computed and kept (:meth:`_octave`);
-    the one-point windows below 2^(s+1) form one such table.  Only the last
-    _CACHED_OCTAVES window lengths stay cached, without a lock: an evaluator
-    serves one thread at a time.  :meth:`evaluate` takes any int64 index
-    array: its layout (:func:`window_layout`, which the functions with the
-    same s may share) finds the runs of indices with the same anchor,
-    gathers each run's column of its octave's table and repeats it over the
-    run.  Each r_j is computed from
+    the one-point windows below 2^(s+1) form one such table, of r_0 alone
+    (v = 0 there).  Only the last _CACHED_OCTAVES window lengths stay
+    cached, without a lock: an evaluator serves one thread at a time.
+    :meth:`evaluate` takes any int64 index array: its layout
+    (:func:`window_layout`, which the functions with the same s may share)
+    finds the runs of indices with the same anchor, gathers each run's
+    column of its octave's table and repeats it over the run.  Each r_j is
+    computed from
     r_j = sum c m^a k^-j (ln m)^i over the terms c t^(a-j) log^i(t) of
     f^(j)/j!.  The quantities m^a = k^a 2^(pa), ln m = ln k + p ln 2 and k^-j
     are shared across orders and built from the per-octave tables of k^a,
@@ -528,35 +556,38 @@ class AnchoredTaylor:
     @staticmethod
     def _plan(orders) -> Optional[tuple[int, int, int]]:
         """(s, K, J) from coefficient ratios at probe anchors, computed in
-        logarithms so that no magnitude overflows."""
+        logarithms so that no magnitude overflows, for every s at once."""
         # r_j at m = k 2^p is the sum of c k^(a-j) 2^(p a) (ln m)^i over the
-        # terms c t^(a-j) log^i(t) of f^(j)/j!
-        terms = [[(math.copysign(1.0, t.coeff_float()), math.log(abs(t.coeff_float())),
-                   float(t.power), float(t.power + j), t.logpow) for t in g.terms]
-                 for j, g in enumerate(orders)]
-
-        def log_abs(tj, k, p):  # ln |r_j| at m = k 2^p, -inf for zero
-            lk, lm = math.log(k), math.log(k) + p * math.log(2)
-            logs = [lc + e * lk + p * a * math.log(2) + i * math.log(lm) for _, lc, e, a, i in tj]
-            top = max(logs, default=-math.inf)
-            total = abs(sum(sg * math.exp(x - top) for (sg, *_), x in zip(tj, logs)))
-            return top + math.log(total) if total else -math.inf
-
+        # terms c t^(a-j) log^i(t) of f^(j)/j!: per order j and term slot, the
+        # sign of c, ln |c|, a - j, a and i (an empty slot: sign 0, ln |c| = -inf)
+        shape = (len(orders), max(len(g.terms) for g in orders))
+        sg, lc, b, a, i = np.zeros(shape), np.full(shape, -math.inf), *np.zeros((3,) + shape)
+        for j, g in enumerate(orders):
+            for n, t in enumerate(g.terms):
+                c = t.coeff_float()
+                sg[j, n], lc[j, n] = math.copysign(1.0, c), math.log(abs(c))
+                b[j, n], a[j, n], i[j, n] = t.power, t.power + j, t.logpow
+        s = np.array(_ANCHOR_BITS, dtype=np.float64)[:, None, None, None]  # (s, k, p, j, term)
+        lk = np.log(np.stack([2.0 ** s, 2.0 ** (s + 1) - 1], axis=1))
+        p = np.array(_PROBE_OCTAVES, dtype=np.float64)[:, None, None] * math.log(2)
+        logs = lc + b * lk + p * a + i * np.log(lk + p)
+        top = logs.max(axis=-1)
+        # an order without terms gives NaN, then -inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            total = np.abs(np.sum(sg * np.exp(logs - top[..., None]), axis=-1))
+            r = np.where(total > 0, top + np.log(total), -math.inf)  # ln |r_j|
+        # ln of r_j / max(1, |r_0|), its largest over the probes of each s
+        rho = (r - np.maximum(r[..., :1], 0.0)).max(axis=(1, 2))
+        with np.errstate(over="ignore"):
+            rho = np.exp(rho)
         plan = None
-        for s in _ANCHOR_BITS:
-            rho = np.full(len(orders), -math.inf)  # ln of r_j / max(1, |r_0|)
-            for k in (2 ** s, 2 ** (s + 1) - 1):
-                for p in _PROBE_OCTAVES:
-                    r = np.array([log_abs(tj, k, p) for tj in terms])
-                    rho = np.maximum(rho, r - max(0.0, r[0]))
-            with np.errstate(over="ignore"):
-                rho = np.exp(rho)
-            small = np.flatnonzero(rho[2:] <= _SHARE)
+        for s, rho_s in zip(_ANCHOR_BITS, rho):
+            small = np.flatnonzero(rho_s[2:] <= _SHARE)
             if not small.size:
                 continue
             K = int(small[0]) + 1  # rho[K+1] <= _SHARE
             J = next(J for J in range(K + 1)
-                     if (2 * (K - J) + 2) * U * rho[J + 1:K + 1].sum() <= _SHARE)
+                     if (2 * (K - J) + 2) * U * rho_s[J + 1:K + 1].sum() <= _SHARE)
             plan = (s, K, J)
             if J <= _MAX_DD_ORDERS:
                 break
@@ -601,8 +632,8 @@ class AnchoredTaylor:
             ps = [p] if p == 0 else [p, p + 1]
             # anchors past the indices asked for may overflow; theirs may not
             with np.errstate(over="ignore", invalid="ignore"):
-                coeffs, bound = self._coefficients(np.tile(k, len(ps)),
-                                                   np.repeat(ps, len(k)), with_bound)
+                coeffs, bound = self._coefficients(np.tile(k, len(ps)), np.repeat(ps, len(k)),
+                                                   with_bound, one_point=p == 0)
             words = np.array([hj for hj, _ in coeffs] + [lj for _, lj in coeffs[:self.J + 1]]
                              + ([bound] if with_bound else []))
             for i, q in enumerate(ps):
@@ -614,9 +645,12 @@ class AnchoredTaylor:
         self._cache.move_to_end(p)
         return table
 
-    def _coefficients(self, k, p, with_bound: bool = True):
+    def _coefficients(self, k, p, with_bound: bool = True, one_point: bool = False):
         """Per anchor m = k 2^p: DD r_0..r_K and the error bound over its
-        window (None without ``with_bound``).
+        window (None without ``with_bound``).  For ``one_point`` windows
+        (p = 0, where v = 0) only r_0 and its error are computed and
+        r_1..r_K are zero: the Horner at v = 0 and the bound, whose order-j
+        parts are weighted by v_max^j = 0, read the same bits either way.
 
         Errors are tracked in units of u^2: a relative bound per shared
         factor, then an absolute one per order.
@@ -643,7 +677,7 @@ class AnchoredTaylor:
         ik = ((inv_k[0][idx], inv_k[1][idx]), 1.0)
         ikj = ik
         coeffs, errs = [], []
-        for j, terms in enumerate(self.orders):
+        for j, terms in enumerate(self.orders[:1] if one_point else self.orders):
             acc = (np.zeros(k.shape), np.zeros(k.shape))
             err = np.zeros(k.shape)
             mag_sum = np.zeros(k.shape)
@@ -666,6 +700,9 @@ class AnchoredTaylor:
                 ikj = (DD.mul(ikj[0], ik[0]), ikj[1] + ik[1] + MUL_ERR)
             coeffs.append(acc)
             errs.append(err)
+        zero = np.zeros(k.shape)
+        coeffs += [(zero, zero)] * (K + 1 - len(coeffs))
+        errs += [zero] * (K + 1 - len(errs))
         if not with_bound:
             return coeffs, None
         w = (1.0 - np.ldexp(1.0, -p)) ** np.arange(K + 1)[:, None]  # v_max^j; 0^0 = 1

@@ -100,15 +100,17 @@ class TestWindowCommand:
         assert lines[2].startswith("t*log(t),2,1/2,0,2/3,0,3/5,True")
 
 
-def _weyl_per_N(config, m, grid, tmp_path) -> bytes:
-    """The bytes `weyl` writes, from one :func:`orbits.weyl_sum` pass per N."""
+def _weyl_per_N(config, ms, grid, tmp_path) -> bytes:
+    """The bytes `weyl` writes for the characters ``ms``, from one
+    :func:`orbits.weyl_sum` pass per character and N."""
     cfg = cli.build_orbit_config(cli.load_config(config))
-    label = "k" + "_".join(map(str, m))
     rows = []
-    for N in grid:
-        s = O.weyl_sum(cfg, m, N)
-        rows += [[N, f"weyl_re_{label}", s.real], [N, f"weyl_im_{label}", s.imag],
-                 [N, f"weyl_abs_{label}", abs(s)]]
+    for m in ms:
+        label = "k" + "_".join(map(str, m))
+        for N in grid:
+            s = O.weyl_sum(cfg, m, N)
+            rows += [[N, f"weyl_re_{label}", s.real], [N, f"weyl_im_{label}", s.imag],
+                     [N, f"weyl_abs_{label}", abs(s)]]
     path = tmp_path / "per_N.csv"
     cli.write_csv(str(path), cli.LONG_HEADER, rows)
     return path.read_bytes()
@@ -128,30 +130,37 @@ class TestDrivers:
         assert float(rows["weyl_im_k1"]) == want.imag
 
     def test_weyl_walks_the_orbit_once_per_frequency(self, tmp_path, monkeypatch):
-        engines, samples = [], []
-        init, inner = O.OrbitEngine.__init__, O.OrbitEngine.samples
+        """One walk for the whole grid and for every character of the config,
+        with the bytes of one weyl_sum per character and N."""
+        three = json.loads((INSTANCES / "torus_boshernitzan.json").read_text())
+        three["tests"] = [{"type": "horizontal_character", "k": [k]} for k in (1, -2, 3)]
+        (tmp_path / "three.json").write_text(json.dumps(three))
+        for config, ms in ((str(INSTANCES / "torus_boshernitzan.json"), [[1]]),
+                           (str(tmp_path / "three.json"), [[1], [-2], [3]])):
+            engines, samples = [], []
+            init, inner = O.OrbitEngine.__init__, O.OrbitEngine.samples
 
-        def counting_init(self, cfg):
-            engines.append(cfg)
-            init(self, cfg)
+            def counting_init(self, cfg):
+                engines.append(cfg)
+                init(self, cfg)
 
-        def counting_samples(self, n0, n1, *args, **kwargs):  # exponents= from the helpers
-            samples.append(n1 - n0 + 1)
-            return inner(self, n0, n1, *args, **kwargs)
+            def counting_samples(self, n0, n1, *args, **kwargs):  # exponents= from the helpers
+                samples.append(n1 - n0 + 1)
+                return inner(self, n0, n1, *args, **kwargs)
 
-        monkeypatch.setattr(O.OrbitEngine, "__init__", counting_init)
-        monkeypatch.setattr(O.OrbitEngine, "samples", counting_samples)
-        config = str(INSTANCES / "torus_boshernitzan.json")
-        out = tmp_path / "weyl.csv"
-        assert cli.main(["weyl", config, "--out", str(out)]) == 0
-        assert (len(engines), sum(samples)) == (1, 10 ** 6)
-        monkeypatch.undo()
-        assert out.read_bytes() == _weyl_per_N(config, [1], (10 ** 4, 10 ** 5, 10 ** 6), tmp_path)
+            monkeypatch.setattr(O.OrbitEngine, "__init__", counting_init)
+            monkeypatch.setattr(O.OrbitEngine, "samples", counting_samples)
+            out = tmp_path / "weyl.csv"
+            assert cli.main(["weyl", config, "--out", str(out)]) == 0
+            assert (len(engines), sum(samples)) == (1, 10 ** 6)
+            monkeypatch.undo()
+            grid = (10 ** 4, 10 ** 5, 10 ** 6)
+            assert out.read_bytes() == _weyl_per_N(config, ms, grid, tmp_path)
 
     def test_weyl_rows_follow_the_grid(self, torus_config, tmp_path):
         out = tmp_path / "weyl.csv"
         assert cli.main(["weyl", torus_config, "--N", "20000,10000,20000", "--out", str(out)]) == 0
-        assert out.read_bytes() == _weyl_per_N(torus_config, [1], (20000, 10000, 20000), tmp_path)
+        assert out.read_bytes() == _weyl_per_N(torus_config, [[1]], (20000, 10000, 20000), tmp_path)
 
     def test_orbit_dump_header(self, tmp_path):
         p = tmp_path / "heis.json"

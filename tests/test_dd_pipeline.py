@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +123,40 @@ def test_ln_table_is_the_dd_rounding_of_ln_k(s):
         want = _mp_to_dd([mp.ln(k) for k in range(2 ** s, 2 ** (s + 1))])
     got = W._ln_table(s)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def _divided(ratios):
+    """P/Q and its exact rest by integer true divisions, as _ratios_to_dd
+    rounds them."""
+    hi, lo = [], []
+    for P, Q in ratios:
+        h = P / Q
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((P * q - p * Q) / (Q * q))
+    return np.array(hi), np.array(lo)
+
+
+@pytest.mark.parametrize("s", W._ANCHOR_BITS)
+def test_table_fast_paths_keep_the_bits_of_the_divisions(s):
+    """k^a through 1/k and its TwoProd (a = -1), through exact int64 powers
+    (integer a >= 0 below 2^53) and through _dyadic_to_dd (rational a > 0),
+    for every power of the shipped instances; and _dyadic_to_dd on the
+    denominators of the tables, 2^120 and 2^160 (ln k), and others."""
+    powers = {Fraction(-1), Fraction(0), Fraction(2), Fraction(3), Fraction(4), Fraction(-2),
+              Fraction(5, 2), Fraction(1, 3)}
+    for path in sorted((ROOT / "instances").glob("*.json")):
+        for text in json.loads(path.read_text())["functions"]:
+            powers |= set(W.AnchoredTaylor(H.parse(text)).powers)
+    for a in sorted(powers):
+        ratios = [W._rational_power(k, a) for k in range(2 ** s, 2 ** (s + 1))]
+        for got, want in zip(W._pow_table(s, a), _divided(ratios)):
+            assert got.tobytes() == want.tobytes(), (s, a)
+    rng = random.Random(s)
+    for t in (0, 1, 120, 160):
+        P = [rng.getrandbits(rng.randrange(1, 400)) for _ in range(500)] + [0, 1, 2 ** 900 - 1]
+        for got, want in zip(W._dyadic_to_dd(P, t), _divided((x, 1 << t) for x in P)):
+            assert got.tobytes() == want.tobytes(), t
 
 
 @pytest.mark.parametrize("K, J", [(9, 4), (4, 4), (6, 0)])

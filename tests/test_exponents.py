@@ -228,6 +228,75 @@ def test_octave_tables_serve_any_index_set_bit_for_bit(text):
     assert _bits(*bare.evaluate(ns)) == _bits(*chunk)
 
 
+ONE_POINT_FUNCTIONS = ["t^{3/2}", "t*log(t)", "t^{5/2}", "t^3 - t*log(t)", "t^{1/2}",
+                       "t*log(t)^2", "-t^{3/2} + t^{1/2}*log(t)"]
+
+
+@pytest.mark.parametrize("text", ONE_POINT_FUNCTIONS)
+def test_one_point_windows_read_the_bits_of_a_full_build(text, monkeypatch):
+    """Below 2^(s+1) every window is one point (v = 0): the table built with
+    r_0 alone gives the values and bounds, signs of zero included, of the
+    table with every order."""
+    f = H.parse(text)
+    full = W.AnchoredTaylor._coefficients
+    ns = np.arange(1, 2 << W.AnchoredTaylor(f).s, dtype=np.int64)
+    for with_bound in (True, False):
+        cut = W.AnchoredTaylor(f).evaluate(ns, with_bound)
+        with monkeypatch.context() as m:
+            m.setattr(W.AnchoredTaylor, "_coefficients",
+                      lambda self, k, p, with_bound, one_point: full(self, k, p, with_bound))
+            whole = W.AnchoredTaylor(f).evaluate(ns, with_bound)
+        assert _bits(*cut) == _bits(*whole), (text, with_bound)
+    if text == "t*log(t)":
+        assert cut[0][0][0] == cut[0][1][0] == 0.0  # at n = 1
+
+
+def _plan_by_probe_loops(orders):
+    """AnchoredTaylor._plan as a loop over s, probes and terms in math.log."""
+    terms = [[(math.copysign(1.0, t.coeff_float()), math.log(abs(t.coeff_float())),
+               float(t.power), float(t.power + j), t.logpow) for t in g.terms]
+             for j, g in enumerate(orders)]
+
+    def log_abs(tj, k, p):
+        lk, lm = math.log(k), math.log(k) + p * math.log(2)
+        logs = [lc + e * lk + p * a * math.log(2) + i * math.log(lm) for _, lc, e, a, i in tj]
+        top = max(logs, default=-math.inf)
+        total = abs(sum(sg * math.exp(x - top) for (sg, *_), x in zip(tj, logs)))
+        return top + math.log(total) if total else -math.inf
+
+    plan = None
+    for s in W._ANCHOR_BITS:
+        rho = np.full(len(orders), -math.inf)
+        for k in (2 ** s, 2 ** (s + 1) - 1):
+            for p in W._PROBE_OCTAVES:
+                r = np.array([log_abs(tj, k, p) for tj in terms])
+                rho = np.maximum(rho, r - max(0.0, r[0]))
+        with np.errstate(over="ignore"):
+            rho = np.exp(rho)
+        small = np.flatnonzero(rho[2:] <= W._SHARE)
+        if not small.size:
+            continue
+        K = int(small[0]) + 1
+        J = next(J for J in range(K + 1)
+                 if (2 * (K - J) + 2) * W.U * rho[J + 1:K + 1].sum() <= W._SHARE)
+        plan = (s, K, J)
+        if J <= W._MAX_DD_ORDERS:
+            break
+    return plan
+
+
+@pytest.mark.parametrize("text", ONE_POINT_FUNCTIONS + [
+    "t^{1/3}", "t^{7/3}", "t^{9/2}", "t^{1/100}", "sqrt2*t^{3/2} + t^{1/2}",
+    "pi*t^{5/3} - t^{4/3}*log(t)", "t^{81/2} + t*log(t)", LATE_MONOTONE,
+    "t^{3/2} + 1/2 + t^{-1}", "t*log(t) + 3 - 2*t^{-1}"])
+def test_plan_equals_the_probe_loops(text):
+    f = H.parse(text)
+    orders = [f]
+    for j in range(1, W._MAX_ORDER + 2):
+        orders.append(H.differentiate(orders[-1]).scaled(Fraction(1, j)))
+    assert W.AnchoredTaylor._plan(orders) == _plan_by_probe_loops(orders)
+
+
 def test_octave_cache_is_bounded_and_rebuilds_the_same_bits():
     ev = W.AnchoredTaylor(H.parse("t*log(t)"))
     probe = np.array([2 ** 14 + 3, 2 ** 15 - 1], dtype=np.int64)

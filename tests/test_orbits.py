@@ -159,6 +159,39 @@ class TestWeylSum:
         assert a == b
 
 
+class TestCharacterKernel:
+    """e(x) from the table of e(i/1024) and two short Taylor polynomials."""
+
+    def test_table_is_correctly_rounded(self):
+        cos_t, sin_t = O._e_table()
+        with mp.workprec(200):
+            want = [(float(mp.cospi(mp.mpf(i) / 512)), float(mp.sinpi(mp.mpf(i) / 512)))
+                    for i in range(1024)]
+        assert cos_t.tobytes() == np.array([c for c, _ in want]).tobytes()
+        assert sin_t.tobytes() == np.array([s for _, s in want]).tobytes()
+
+    def test_within_its_bound_of_mpmath(self):
+        rng = np.random.default_rng(23)
+        below_one = np.nextafter(1.0, 0.0)
+        special = [0.0, 0.25, 0.5, 0.75, below_one, -below_one, -1e-20, -5e-324, 1e-300,
+                   -0.3, 1e9 + 0.3, -1e9 + 0.3, 1e9 + below_one, -1e9 - 1e-7, 2.0 ** 52 - 0.5]
+        phases = np.concatenate([special, rng.uniform(-4, 4, 60_000),
+                                 rng.uniform(-1, 1, 20_000) * 2.0 ** -rng.integers(0, 60, 20_000),
+                                 1e9 * rng.choice([-1, 1], 20_000) + rng.uniform(-1, 1, 20_000)])
+        got = O._e(phases)
+        with mp.workprec(80):
+            err = max(abs(mp.mpc(z.real, z.imag) - mp.expjpi(2 * mp.mpf(float(x))))
+                      for x, z in zip(phases, got))
+        assert err <= 1e-15
+        assert O._e(np.array([0.0, 0.25, 0.5, 0.75, -1e-20])).tolist() == [1, 1j, -1, -1j, 1]
+
+    def test_characters_move_only_in_the_last_bits(self):
+        """Against np.exp of the same reduced phase, the kernel before the table."""
+        phases = np.random.default_rng(5).uniform(-50, 50, O.CHUNK)
+        x = phases - np.floor(phases)
+        assert np.abs(O._e(phases) - np.exp(2j * np.pi * x)).max() <= 2e-15
+
+
 class TestChunkedMean:
     CFG = heis_cfg("phi", "sqrt2", "t^{3/2}")
 
